@@ -18,7 +18,7 @@ import sys
 from typing import Sequence
 
 from .catest import ca_test, render_extended_table
-from .core import Magma, ParseError, parse_magma, read_magmas, render_magma
+from .core import Magma, ParseError, read_magmas, render_magma
 from .enumeration import (
     LARGE_ORDER_THRESHOLD,
     PUBLISHED_INCONSISTENT_CELLS,
@@ -38,14 +38,10 @@ from .props import (
 )
 from .theorems import ClaimBudgetError, UnknownClaimError, verify_claims
 
-_INLINE = re.compile(r"^\s*\d+\s*:")
-
 
 def _load_magmas(source: str) -> list[Magma]:
     if source == "-":
         return read_magmas(sys.stdin.read().splitlines())
-    if _INLINE.match(source):
-        return [parse_magma(source)]
     return read_magmas(source)
 
 
@@ -127,13 +123,14 @@ def _cmd_ca_test(args: argparse.Namespace) -> int:
     magmas = _load_magmas(args.table)
     out = []
     all_ca = True
+    non_ag = [k for k, m in enumerate(magmas, 1) if not check_property(m, "ag").holds]
+    if non_ag:
+        print(
+            f"warning: {len(non_ag)} of {len(magmas)} inputs fail the left "
+            f"invertive law (first: input {non_ag[0]}); reporting verdicts anyway",
+            file=sys.stderr,
+        )
     for m in magmas:
-        if not check_property(m, "ag").holds:
-            print(
-                "warning: input fails the left invertive law; "
-                "reporting the verdict anyway",
-                file=sys.stderr,
-            )
         report = ca_test(m)
         all_ca = all_ca and report.verdict
         out.append((m, report))
@@ -144,8 +141,8 @@ def _cmd_ca_test(args: argparse.Namespace) -> int:
                 "magma": render_magma(m, "compact"),
                 "verdict": r.verdict,
                 "first_mismatch": list(r.first_mismatch) if r.first_mismatch else None,
-                "star_tables": [list(t) for t in r.star_tables],
-                "circle_tables": [list(t) for t in r.circle_tables],
+                "star_tables": r.star_tables,
+                "circle_tables": r.circle_tables,
             }
             for m, r in out
         ]

@@ -2,11 +2,14 @@
 
 from __future__ import annotations
 
+import re
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
 Triple = tuple[int, int, int]
+
+_INLINE = re.compile(r"^\s*\d+\s*:")
 
 
 class ParseError(ValueError):
@@ -36,7 +39,8 @@ class Magma:
                 f"table has {len(self.table)} entries, expected {n * n} for order {n}"
             )
         for i, e in enumerate(self.table):
-            if not isinstance(e, int) or not 0 <= e < n:
+            # type(), not isinstance(), which would admit bool entries.
+            if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"table entry {e!r} at position {i + 1} not in 0..{n - 1}")
 
     def rows(self) -> list[tuple[int, ...]]:
@@ -108,9 +112,12 @@ def render_magma(m: Magma, style: str = "compact") -> str:
 def read_magmas(source: str | Path | Iterable[str]) -> list[Magma]:
     """Read magmas from table-file content: one compact encoding per line.
 
-    Blank lines and lines starting with '#' are skipped.  source is a file
-    path or an iterable of lines; errors carry the 1-based line number.
+    Blank lines and lines starting with '#' are skipped.  source is an
+    inline "n:e1,..." encoding, a file path or an iterable of lines; errors
+    in files and lines carry the 1-based line number.
     """
+    if isinstance(source, str) and _INLINE.match(source):
+        return [parse_magma(source)]
     if isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:

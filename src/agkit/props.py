@@ -3,7 +3,10 @@
 Each checker scans element tuples in lexicographic order and returns the
 first falsifying tuple, or None when the property holds, so witnesses are
 deterministic.  check_property/classify wrap the checkers; the raw checker
-registry CHECKERS is shared with the enumeration census.
+registry CHECKERS is shared with the enumeration census.  Property
+expressions evaluate the operands of each & and | cheapest first, by the
+ATOM_COST of their atoms, so a one-variable atom can rule a table out
+before a four-variable law scans it.
 """
 
 from __future__ import annotations
@@ -347,6 +350,35 @@ CATALOG: tuple[str, ...] = (
 
 _INDEX = {name: i for i, name in enumerate(CATALOG)}
 
+# Variables in each atom's defining identity: an atom scans at most n**cost
+# tuples, so the cost orders expression operands cheapest first.
+_BASE_COST: dict[str, int] = {
+    "ag": 3,
+    "right_ag": 3,
+    "cyclic_associative": 3,
+    "associative": 3,
+    "commutative": 2,
+    "medial": 4,
+    "paramedial": 4,
+    "ag_star": 3,
+    "ag_star_star": 3,
+    "left_nuclear_square": 3,
+    "middle_nuclear_square": 3,
+    "right_nuclear_square": 3,
+    "bol_star": 4,
+    "T1": 4,
+    "T3_left": 3,
+    "T3_right": 3,
+    "left_alternative": 2,
+    "right_alternative": 2,
+    "left_commutative": 3,
+    "right_commutative": 3,
+    "band": 1,
+    "three_band": 1,
+    "has_left_identity": 2,
+    "has_cancellative_element": 2,
+}
+
 
 def _composite_checker(parts: tuple[str, ...]) -> Checker:
     def check(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -361,8 +393,10 @@ def _composite_checker(parts: tuple[str, ...]) -> Checker:
 
 CHECKERS: dict[str, Checker] = dict(_BASE_CHECKERS)
 CHECKERS["has_left_identity"] = _check_has_left_identity
+ATOM_COST: dict[str, int] = dict(_BASE_COST)
 for _name, _parts in COMPOSITES.items():
     CHECKERS[_name] = _composite_checker(_parts)
+    ATOM_COST[_name] = max(_BASE_COST[p] for p in _parts)
 
 
 @dataclass(frozen=True)
@@ -481,8 +515,10 @@ def _tokenize(text: str) -> list[str]:
 class PropertyExpr:
     """Parsed boolean combination of property atoms.
 
-    ast nodes are ("atom", name), ("not", x), ("and", l, r), ("or", l, r).
-    evaluate() resolves atoms through a lookup callable, short-circuiting.
+    ast nodes are ("atom", name), ("not", x), ("and", operands) and
+    ("or", operands), where operands is a tuple of at least two nodes in
+    stable ATOM_COST order.  evaluate() resolves atoms through a lookup
+    callable, short-circuiting left to right.
     """
 
     text: str
@@ -497,15 +533,33 @@ class PropertyExpr:
             if op == "not":
                 return not ev(node[1])
             if op == "and":
-                return ev(node[1]) and ev(node[2])
-            return ev(node[1]) or ev(node[2])
+                return all(map(ev, node[1]))
+            return any(map(ev, node[1]))
 
         return ev(self.ast)
+
+
+def _node_cost(node: tuple) -> int:
+    op = node[0]
+    if op == "atom":
+        return ATOM_COST[node[1]]
+    if op == "not":
+        return _node_cost(node[1])
+    return max(_node_cost(x) for x in node[1])
+
+
+def _junction(op: str, operands: list[tuple]) -> tuple:
+    if len(operands) == 1:
+        return operands[0]
+    return (op, tuple(sorted(operands, key=_node_cost)))
 
 
 def parse_property_expr(text: str) -> PropertyExpr:
     """Parse an expression over catalog atoms with & | ! (or and/or/not,
     or the symbols for conjunction, disjunction, negation) and parentheses.
+
+    Atoms are pure functions of the table, so reordering the operands of
+    each & and | by cost changes which atoms run, never the value.
     """
     tokens = _tokenize(text)
     pos = 0
@@ -543,18 +597,18 @@ def parse_property_expr(text: str) -> PropertyExpr:
         return ("atom", tok)
 
     def parse_and() -> tuple:
-        node = parse_atom()
+        operands = [parse_atom()]
         while peek() == "&":
             take()
-            node = ("and", node, parse_atom())
-        return node
+            operands.append(parse_atom())
+        return _junction("and", operands)
 
     def parse_or() -> tuple:
-        node = parse_and()
+        operands = [parse_and()]
         while peek() == "|":
             take()
-            node = ("or", node, parse_and())
-        return node
+            operands.append(parse_and())
+        return _junction("or", operands)
 
     ast = parse_or()
     if pos != len(tokens):

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from typing import Sequence
+from typing import Callable, Sequence
 
 from .core import Magma, parse_magma, render_magma
 from .enumeration import BudgetExceeded, enumerate_ag
@@ -447,15 +447,36 @@ def _all_magmas(n: int) -> tuple[Magma, ...]:
     return got
 
 
+class _Atoms(dict):
+    """Atom values of one magma, each computed on its first lookup."""
+
+    __slots__ = ("magma",)
+
+    def __init__(self, m: Magma) -> None:
+        super().__init__()
+        self.magma = m
+
+    def __missing__(self, name: str) -> bool:
+        value = self[name] = atom_value(self.magma, name)
+        return value
+
+
 class _Facts:
-    """Memoized property-atom evaluation across claims."""
+    """Memoized property-atom evaluation across claims.
+
+    Keyed by id(m), so no Magma is hashed: the pools hand the same magma
+    objects to every claim.  Each entry holds its magma, which keeps the id
+    from being reused while it is a key.
+    """
 
     def __init__(self) -> None:
-        self._by_magma: dict[Magma, dict[str, bool]] = {}
+        self._by_id: dict[int, _Atoms] = {}
 
-    def lookup(self, m: Magma):
-        cache = self._by_magma.setdefault(m, {})
-        return lambda name: atom_value(m, name, cache)
+    def lookup(self, m: Magma) -> Callable[[str], bool]:
+        atoms = self._by_id.get(id(m))
+        if atoms is None:
+            atoms = self._by_id[id(m)] = _Atoms(m)
+        return atoms.__getitem__
 
     def satisfies(self, m: Magma, expr: PropertyExpr) -> bool:
         return expr.evaluate(self.lookup(m))

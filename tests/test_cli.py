@@ -123,6 +123,18 @@ def test_ca_test_warns_on_non_ag_input(capsys):
     assert "left invertive" in err
 
 
+def test_ca_test_warns_once_for_many_non_ag_inputs(capsys, tmp_path):
+    path = tmp_path / "mixed.txt"
+    path.write_text("3:0,0,0,0,1,0,0,0,2\n2:0,1,0,0\n1:0\n2:0,1,0,0\n")
+    code, out, err = run(capsys, "ca-test", str(path))
+    assert code == 1
+    assert len(out.splitlines()) == 4
+    assert err.splitlines() == [
+        "warning: 2 of 4 inputs fail the left invertive law (first: input 2); "
+        "reporting verdicts anyway"
+    ]
+
+
 def test_ca_test_json(capsys):
     code, out, _ = run(capsys, "ca-test", "3:0,0,0,0,0,0,0,1,0", "--json")
     assert code == 1

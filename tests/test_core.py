@@ -29,6 +29,8 @@ def test_magma_rejects_bad_shapes():
         Magma(2, (0, 1, 1, 2))
     with pytest.raises(ValueError):
         Magma(2, (0, 1, 1, -1))
+    with pytest.raises(ValueError, match="True"):
+        Magma(2, (True, False, False, True))
 
 
 def test_mul_matches_table_and_bounds():
@@ -108,3 +110,9 @@ def test_read_magmas_from_file(tmp_path):
 def test_read_magmas_error_names_line():
     with pytest.raises(ParseError, match="line 2"):
         read_magmas(["2:0,0,0,0", "2:9,0,0,0"])
+
+
+def test_read_magmas_inline_encoding():
+    assert read_magmas(" 3 : 0,0,0,0,1,0,0,0,2") == [parse_magma("3:0,0,0,0,1,0,0,0,2")]
+    with pytest.raises(ParseError, match="expected 4 entries"):
+        read_magmas("2:0,0,0")

@@ -1,5 +1,7 @@
 """Property checkers against the independent term-tree oracle."""
 
+from itertools import product
+
 import pytest
 from hypothesis import given
 
@@ -16,6 +18,8 @@ from agkit import (
     parse_magma,
     parse_property_expr,
 )
+
+from agkit.props import ATOM_COST, COMPOSITES, EXPR_ATOMS
 
 from conftest import magmas, oracle_check
 
@@ -179,3 +183,29 @@ def test_expression_negation_is_complement(m):
     expr = parse_property_expr("cyclic_associative")
     neg = parse_property_expr("!cyclic_associative")
     assert magma_satisfies(m, expr) != magma_satisfies(m, neg)
+
+
+def test_atom_cost_is_the_witness_arity():
+    assert set(ATOM_COST) == set(EXPR_ATOMS)
+    tables = [Magma(n, t) for n in (2, 3) for t in product(range(n), repeat=n * n)]
+    for name in CATALOG:
+        if name in COMPOSITES or name == "has_left_identity":
+            continue
+        witness = next(w for m in tables if (w := check_property(m, name).witness))
+        assert len(witness) == ATOM_COST[name], name
+    assert ATOM_COST["semilattice"] == 2
+    assert ATOM_COST["T3"] == 3
+
+
+def test_expression_operands_are_in_stable_cost_order():
+    expr = parse_property_expr("paramedial & band")
+    assert expr.ast == ("and", (("atom", "band"), ("atom", "paramedial")))
+    assert expr.text == "paramedial & band"
+    assert expr.names == {"paramedial", "band"}
+    expr = parse_property_expr("cyclic_associative & T1 & !(medial | commutative) & three_band")
+    assert expr.ast == ("and", (
+        ("atom", "three_band"),
+        ("atom", "cyclic_associative"),
+        ("atom", "T1"),
+        ("not", ("or", (("atom", "commutative"), ("atom", "medial")))),
+    ))

@@ -1,5 +1,7 @@
 """Fixture corpus integrity and the claim verification engine."""
 
+import hashlib
+
 import pytest
 
 from agkit import (
@@ -182,3 +184,29 @@ def test_duplicate_tables_play_distinct_roles(fixture_map):
     assert fixture_map["table5"] == fixture_map["table12"]
     assert fixture_map["table15"] == fixture_map["table16"]
     assert fixture_map["table18"] == fixture_map["table20"]
+
+
+def test_verify_order_4_json_is_pinned(capsys):
+    from agkit.cli import main
+
+    assert main(["verify", "--max-order", "4", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "bfe912825191a47e02afff5a4403400945b1d7a70849e1d52da1a89ff10b59e2"
+    )
+
+
+def test_four_variable_premises_run_only_on_bands(monkeypatch):
+    from agkit import props
+
+    calls = {"paramedial": 0, "bol_star": 0}
+    for name in calls:
+        def counted(n, t, name=name, checker=props.CHECKERS[name]):
+            assert all(t[a * n + a] == a for a in range(n)), (name, n, t)
+            calls[name] += 1
+            return checker(n, t)
+
+        monkeypatch.setitem(props.CHECKERS, name, counted)
+    results = verify_claims(max_order=4, ids=["C3", "C7", "C31"])
+    assert [r.status for r in results] == ["verified"] * 3
+    assert calls["paramedial"] > 0 and calls["bol_star"] > 0
