@@ -64,6 +64,21 @@ def _require_allow_large(order: int, allow_large: bool) -> None:
         )
 
 
+# (flag, namespace attribute, least accepted value) of the numeric options.
+_LOWER_BOUNDS = (
+    ("--max-order", "max_order", 1),
+    ("--jobs", "jobs", 1),
+    ("--budget", "budget", 0),
+)
+
+
+def _check_bounds(args: argparse.Namespace) -> None:
+    for flag, dest, low in _LOWER_BOUNDS:
+        value = getattr(args, dest, None)
+        if value is not None and not value >= low:
+            raise ValueError(f"{flag} must be >= {low}, got {value}")
+
+
 def _usage_error(message: str) -> int:
     print(f"error: {message}", file=sys.stderr)
     return 2
@@ -382,6 +397,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
+        _check_bounds(args)
         return args.func(args)
     except ClaimBudgetError as exc:
         print(f"partial: {exc}", file=sys.stderr)

@@ -15,11 +15,10 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
-from functools import lru_cache
-from itertools import permutations
 from typing import Callable, Optional, Sequence
 
 from .core import Magma
+from .iso import _perm_data
 from .props import CHECKERS
 
 # Orders at and above this are hours-scale; the CLI demands --allow-large.
@@ -92,26 +91,6 @@ class _DeadlineHit(Exception):
     pass
 
 
-@lru_cache(maxsize=None)
-def _perm_data(n: int) -> tuple:
-    """Non-identity permutations with precomputed source-cell maps.
-
-    For permutation p with inverse q, the relabeled image satisfies
-    image[pos] = p[table[src[pos]]] with src[pos] the preimage cell.
-    """
-    size = n * n
-    out = []
-    for p in permutations(range(n)):
-        if all(p[i] == i for i in range(n)):
-            continue
-        q = [0] * n
-        for i, v in enumerate(p):
-            q[v] = i
-        src = tuple(q[pos // n] * n + q[pos % n] for pos in range(size))
-        out.append((p, src))
-    return tuple(out)
-
-
 def _search(
     n: int,
     emit: Optional[Callable[[tuple[int, ...]], None]],
@@ -131,6 +110,13 @@ def _search(
     completion (dropped); one that is smaller beats every completion
     (subtree pruned).  At a full table the survivors are automorphisms and
     the table is its own canonical form.
+
+    Each alive entry (p, src, cursor) carries the first cell its comparison
+    has not passed: every cell before the cursor is decided and equal to its
+    image, and stays so below the node that set it, so the next filter
+    resumes there instead of at cell 0.  A survivor whose cursor moved is
+    replaced by a new tuple; a parent's list is never mutated, and the root
+    list is the cached _perm_data(n) tuple itself.
 
     forced replays a choice sequence to re-enter a partition.  With
     collect_partitions, the search instead stops whenever row 0 is fully
@@ -201,13 +187,18 @@ def _search(
             T[i] = -1
 
     def filter_perms(alive):
-        """None when the decided prefix is beaten; else the still-alive perms."""
+        """None when the decided prefix is beaten; else the still-alive perms.
+
+        Each scan resumes at its entry's cursor and ends at an undecided
+        cell or past the last one (kept), at a larger image cell (dropped,
+        pos = -1) or at a smaller one (prefix beaten).
+        """
         survivors = []
         t = T
         for perm in alive:
-            p, src = perm
-            verdict = 0
-            for pos in range(size):
+            p, src, pos = perm
+            start = pos
+            while pos < size:
                 tv = t[pos]
                 if tv < 0:
                     break
@@ -216,12 +207,15 @@ def _search(
                     break
                 iv = p[sv]
                 if iv != tv:
-                    verdict = 1 if iv > tv else -1
+                    if iv < tv:
+                        return None
+                    pos = -1
                     break
-            if verdict < 0:
-                return None
-            if verdict == 0:
+                pos += 1
+            if pos == start:
                 survivors.append(perm)
+            elif pos >= 0:
+                survivors.append((p, src, pos))
         return survivors
 
     def dfs(idx: int, alive, filter_row: int) -> None:
@@ -264,7 +258,7 @@ def _search(
     for idx, v in forced:
         if not assign(idx, v):
             return 0
-    dfs(0, list(_perm_data(n)), 1)
+    dfs(0, _perm_data(n), 1)
     return count
 
 

@@ -9,6 +9,7 @@ partition-refinement machinery is used.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
@@ -38,26 +39,43 @@ def relabel(m: Magma, p: Sequence[int]) -> Magma:
     return Magma(n, tuple(out))
 
 
-def _min_table(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
-    """Least relabeled table, comparing images lazily so most permutations
-    are discarded after a few cells."""
+@lru_cache(maxsize=None)
+def _perm_data(n: int) -> tuple:
+    """Non-identity permutations as (p, src, 0), src a precomputed cell map.
+
+    For permutation p with inverse q, the relabeled image satisfies
+    image[pos] = p[table[src[pos]]] with src[pos] the preimage cell.  The
+    trailing 0 is the enumeration search's scan cursor at the root.
+    """
     size = n * n
-    best = list(t)
+    out = []
     for p in permutations(range(n)):
+        if all(p[i] == i for i in range(n)):
+            continue
         q = [0] * n
         for i, v in enumerate(p):
             q[v] = i
-        # image[pos] = p[t[src]] where src is the preimage cell of pos
-        for pos in range(size):
-            val = p[t[q[pos // n] * n + q[pos % n]]]
+        src = tuple(q[pos // n] * n + q[pos % n] for pos in range(size))
+        out.append((p, src, 0))
+    return tuple(out)
+
+
+def _min_table(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
+    """Least relabeled table, comparing images lazily so most permutations
+    are discarded after a few cells.  The identity is not in _perm_data;
+    best starts as its image t."""
+    size = n * n
+    best = list(t)
+    for p, src, _ in _perm_data(n):
+        pos = 0
+        while pos < size:
+            val = p[t[src[pos]]]
             cur = best[pos]
-            if val > cur:
+            if val != cur:
+                if val < cur:
+                    best[pos:] = [p[t[src[r]]] for r in range(pos, size)]
                 break
-            if val < cur:
-                best[pos] = val
-                for rest in range(pos + 1, size):
-                    best[rest] = p[t[q[rest // n] * n + q[rest % n]]]
-                break
+            pos += 1
     return tuple(best)
 
 

@@ -226,6 +226,21 @@ def test_enumerate_order_six_needs_allow_large(capsys):
     assert "--allow-large" in err
 
 
+@pytest.mark.parametrize(
+    "argv,flag",
+    [
+        (("verify", "--max-order", "-3"), "--max-order"),
+        (("enumerate", "--order", "3", "--jobs", "0"), "--jobs"),
+        (("classify", "--order", "3", "--budget", "-1"), "--budget"),
+    ],
+)
+def test_bad_numeric_argument_exits_two(capsys, argv, flag):
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and flag in err
+
+
 def test_enumerate_progress(capsys):
     code, out, err = run(
         capsys, "enumerate", "--order", "3", "--count-only", "--progress",

@@ -1,5 +1,8 @@
 """Enumeration counts, determinism, partitions, budgets, and the census."""
 
+import hashlib
+from functools import lru_cache
+
 import pytest
 
 from agkit import (
@@ -12,11 +15,36 @@ from agkit import (
     classify,
     classify_census,
     enumerate_ag,
+    enumeration,
+    iso,
 )
 
 from conftest import ag_universe, brute_enumeration
 
 KNOWN_COUNTS = {1: 1, 2: 3, 3: 20, 4: 331}
+
+# SHA-256 of the canonical stream, one comma-joined table per line.
+STREAM_DIGESTS = {
+    4: "99ca2bcb6abbbf1a0e22bcf57ee0e4333a01eba4345657af0f083ab055502813",
+    5: "6b7c8a40bd32dd2045952b3ac304ff7edcbd6e1f10201d875e806c982e647277",
+}
+
+# Class counts of the non-empty order-5 first-row partitions (0-based index).
+ORDER5_PARTITION_COUNTS = {
+    0: 31141, 1: 128, 4: 290, 6: 2, 7: 3, 18: 91, 19: 30, 62: 177, 64: 15,
+    69: 8, 97: 2, 156: 3, 159: 4, 168: 6, 169: 7, 194: 2, 298: 2, 698: 1,
+    879: 1,
+}
+
+
+@lru_cache(maxsize=None)
+def _sequential_run(n: int):
+    """The stream and the per-partition class counts of one jobs=1 run."""
+    stream = []
+    totals = []
+    enumerate_ag(n, stream.append, progress=lambda done, total, count: totals.append(count))
+    counts = [b - a for a, b in zip([0] + totals, totals)]
+    return stream, counts
 
 
 @pytest.mark.parametrize("n,count", sorted(KNOWN_COUNTS.items()))
@@ -37,8 +65,38 @@ def test_emissions_are_canonical_ag_and_sorted(n):
 
 
 @pytest.mark.parametrize("n", [1, 2, 3])
-def test_matches_brute_force_oracle(n):
-    assert tuple(m.table for m in ag_universe(n)) == brute_enumeration(n)
+def test_matches_brute_force_oracle(n, monkeypatch):
+    # A fresh run of the cursor search.  Its root alive list is the cached
+    # permutation table that canonical_form also uses; moving a cursor must
+    # leave that shared table as it was.
+    root = iso._perm_data(n)
+    before = [(p, src, cursor) for p, src, cursor in root]
+    handed_out = []
+
+    def spy(order):
+        handed_out.append(iso._perm_data(order))
+        return handed_out[-1]
+
+    monkeypatch.setattr(enumeration, "_perm_data", spy)
+    stream = []
+    enumerate_ag(n, stream.append)
+    assert tuple(m.table for m in stream) == brute_enumeration(n)
+    assert handed_out and all(r is root for r in handed_out)
+    assert [(p, src, cursor) for p, src, cursor in root] == before
+    assert all(cursor == 0 for _, _, cursor in before)
+
+
+@pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))
+def test_stream_digest(n):
+    stream, _ = _sequential_run(n)
+    text = "".join(",".join(map(str, m.table)) + "\n" for m in stream)
+    assert hashlib.sha256(text.encode()).hexdigest() == STREAM_DIGESTS[n]
+
+
+def test_order5_partition_counts():
+    _, counts = _sequential_run(5)
+    assert len(counts) == 3125
+    assert {i: c for i, c in enumerate(counts) if c} == ORDER5_PARTITION_COUNTS
 
 
 def test_multiprocess_run_is_identical_to_sequential():
