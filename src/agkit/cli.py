@@ -376,7 +376,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="census of one order against the reference table")
     p.add_argument("--order", type=int, required=True)
-    p.add_argument("--report", choices=["table2"], default="table2")
     p.add_argument("--jobs", type=int, default=_default_jobs())
     p.add_argument("--budget", type=float)
     p.add_argument("--allow-large", action="store_true")

@@ -7,8 +7,6 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-Triple = tuple[int, int, int]
-
 _INLINE = re.compile(r"^\s*\d+\s*:")
 
 

@@ -1,16 +1,20 @@
 """Identity-class predicates for finite magmas and the property catalog.
 
-Each checker scans element tuples in lexicographic order and returns the
-first falsifying tuple, or None when the property holds, so witnesses are
-deterministic.  check_property/classify wrap the checkers; the raw checker
-registry CHECKERS is shared with the enumeration census.  Property
-expressions evaluate the operands of each & and | cheapest first, by the
-ATOM_COST of their atoms, so a one-variable atom can rule a table out
-before a four-variable law scans it.
+Each law of the catalog is stated once, as data, in LAWS.  At import a
+small parser reads each law and a compiler turns it into one nested-loop
+checker, generated with exec, that scans element tuples in lexicographic
+order and returns the first falsifying tuple, or None when the law
+holds, so witnesses are deterministic.  check_property/classify wrap the
+checkers; the raw checker registry CHECKERS is shared with the
+enumeration census.  Property expressions evaluate the operands of each
+& and | cheapest first, by the ATOM_COST of their atoms (the number of
+variables of a law), so a one-variable atom can rule a table out before
+a four-variable law scans it.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -23,252 +27,159 @@ class UnknownPropertyError(ValueError):
     """Raised for a property name outside the catalog."""
 
 
-def _check_ag(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(ab)c = (cb)a, the left invertive law."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                if t[ab * n + c] != t[t[c * n + b] * n + a]:
-                    return (a, b, c)
-    return None
+# Each law in the paper's notation: variables a-d, in witness order;
+# products by juxtaposition of two factors, with parentheses.  Equations
+# separated by commas must all hold; "p -> q" requires q where p holds.
+LAWS: dict[str, str] = {
+    "ag": "(ab)c = (cb)a",
+    "right_ag": "a(bc) = c(ba)",
+    "cyclic_associative": "a(bc) = c(ab)",
+    "associative": "(ab)c = a(bc)",
+    "commutative": "ab = ba",
+    "medial": "(ab)(cd) = (ac)(bd)",
+    "paramedial": "(ab)(cd) = (db)(ca)",
+    "ag_star": "(ab)c = b(ac)",
+    "ag_star_star": "a(bc) = b(ac)",
+    "left_nuclear_square": "(aa)(bc) = ((aa)b)c",
+    "middle_nuclear_square": "a((bb)c) = (a(bb))c",
+    "right_nuclear_square": "a(b(cc)) = (ab)(cc)",
+    "bol_star": "a((bc)d) = ((ab)c)d",
+    "T1": "ab = cd -> ba = dc",
+    "T3_left": "ab = ac -> ba = ca",
+    "T3_right": "ba = ca -> ab = ac",
+    "left_alternative": "(aa)b = a(ab)",
+    "right_alternative": "b(aa) = (ba)a",
+    "left_commutative": "(ab)c = (ba)c",
+    "right_commutative": "a(bc) = a(cb)",
+    "band": "aa = a",
+    "three_band": "(aa)a = a, a(aa) = a",
+}
+
+_VARS = "abcd"
 
 
-def _check_right_ag(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a(bc) = c(ba)."""
-    for a in range(n):
-        for b in range(n):
-            ba = t[b * n + a]
-            for c in range(n):
-                if t[a * n + t[b * n + c]] != t[c * n + ba]:
-                    return (a, b, c)
-    return None
+def _parse_term(text: str):
+    """A variable letter, or a (left, right) pair for a product of two
+    factors, each a variable or a parenthesised term."""
+    stack: list[list] = [[]]
+    for ch in f"({text.replace(' ', '')})":
+        if ch == "(":
+            stack.append([])
+        elif ch == ")" and len(stack) > 1 and stack[-1]:
+            factors = stack.pop()
+            stack[-1].append(factors[0] if len(factors) == 1 else tuple(factors))
+        elif ch in _VARS:
+            stack[-1].append(ch)
+        else:
+            raise ValueError(f"unexpected {ch!r} in term {text!r}")
+        if len(stack[-1]) > 2:
+            raise ValueError(f"more than two factors without parentheses in {text!r}")
+    if len(stack) != 1 or len(stack[0]) != 1:
+        raise ValueError(f"unbalanced parentheses in term {text!r}")
+    return stack[0][0]
 
 
-def _check_cyclic_associative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a(bc) = c(ab)."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                if t[a * n + t[b * n + c]] != t[c * n + ab]:
-                    return (a, b, c)
-    return None
+def _equations(text: str) -> list:
+    """The (lhs, rhs) pairs of comma-separated equations."""
+    eqs = [tuple(map(_parse_term, eq.split("="))) for eq in text.split(",")] if text else []
+    if any(len(eq) != 2 for eq in eqs):
+        raise ValueError(f"each equation needs exactly one '=' in {text!r}")
+    return eqs
 
 
-def _check_associative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(ab)c = a(bc)."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                if t[ab * n + c] != t[a * n + t[b * n + c]]:
-                    return (a, b, c)
-    return None
+def _letters(x) -> str:
+    return x if isinstance(x, str) else _letters(x[0]) + _letters(x[1])
 
 
-def _check_commutative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """ab = ba."""
-    for a in range(n):
-        for b in range(n):
-            if t[a * n + b] != t[b * n + a]:
-                return (a, b)
-    return None
+def _differing_pair(x, y):
+    """The subterms of x and y at the deepest position outside of which
+    the two terms agree."""
+    while x != y and not isinstance(x, str) and not isinstance(y, str):
+        if x[0] == y[0]:
+            x, y = x[1], y[1]
+        elif x[1] == y[1]:
+            x, y = x[0], y[0]
+        else:
+            break
+    return x, y
 
 
-def _check_medial(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(ab)(cd) = (ac)(bd)."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                ac = t[a * n + c]
-                for d in range(n):
-                    if t[ab * n + t[c * n + d]] != t[ac * n + t[b * n + d]]:
-                        return (a, b, c, d)
-    return None
+def _law_source(name: str, text: str) -> str:
+    """Python source of the nested-loop checker for one law.
+
+    Loops bind the variables in order, so the first falsifying tuple is
+    the lexicographically smallest.  A compound subterm is computed once,
+    in the loop where its last variable is bound; in the innermost loop
+    it gets a local name only when it occurs twice.  When the two sides
+    of a lone equation differ in one pair of subterms bound above the
+    innermost loop, the checker skips the inner loops wherever that pair
+    is equal, since the equation then holds for every inner binding.
+    """
+    hyps, _, concl = text.rpartition("->")
+    hyps, eqs = _equations(hyps), _equations(concl)
+    sides = [x for eq in hyps + eqs for x in eq]
+    used = set("".join(map(_letters, sides)))
+    nvars = len(used)
+    if used != set(_VARS[:nvars]):
+        raise ValueError(f"law {text!r} must name its variables from a on, in order")
+    last = nvars - 1
+
+    def level(x) -> int:
+        return max(map(_VARS.index, _letters(x)))
+
+    # Compound subterms in post-order of first occurrence, with the number
+    # of places each is used once its repeats are named.
+    counts: Counter = Counter()
+    order: list = []
+
+    def visit(x) -> None:
+        if not isinstance(x, str):
+            counts[x] += 1
+            if counts[x] == 1:
+                visit(x[0])
+                visit(x[1])
+                order.append(x)
+
+    for x in sides:
+        visit(x)
+    names: dict = {}
+
+    def expr(x) -> str:
+        if isinstance(x, str):
+            return x
+        return names.get(x) or f"t[{expr(x[0])} * n + {expr(x[1])}]"
+
+    stmts: list[list[str]] = [[] for _ in range(nvars)]
+    for x in order:
+        if level(x) < last or counts[x] > 1:
+            value, local = expr(x), _letters(x)
+            names[x] = local if local not in names.values() else f"{local}_{len(names)}"
+            stmts[level(x)].append(f"{names[x]} = {value}")
+    if not hyps and len(eqs) == 1:
+        s, s2 = _differing_pair(*eqs[0])
+        k = max(level(s), level(s2))
+        if k < last:
+            stmts[k].append(f"if {expr(s)} == {expr(s2)}: continue")
+    lines = [f"def _check_{name}(n, t):"]
+    for k in range(nvars):
+        lines.append("    " * (k + 1) + f"for {_VARS[k]} in range(n):")
+        lines += ["    " * (k + 2) + stmt for stmt in stmts[k]]
+    cond = " or ".join(f"{expr(lhs)} != {expr(rhs)}" for lhs, rhs in eqs)
+    if hyps:
+        cond = " and ".join([f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in hyps]
+                            + [cond if len(eqs) == 1 else f"({cond})"])
+    pad = "    " * (nvars + 1)
+    witness = ", ".join(_VARS[:nvars]) + "," * (nvars == 1)
+    lines += [f"{pad}if {cond}:", f"{pad}    return ({witness})", "    return None"]
+    return "\n".join(lines) + "\n"
 
 
-def _check_paramedial(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(ab)(cd) = (db)(ca)."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                ca = t[c * n + a]
-                for d in range(n):
-                    if t[ab * n + t[c * n + d]] != t[t[d * n + b] * n + ca]:
-                        return (a, b, c, d)
-    return None
-
-
-def _check_ag_star(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(ab)c = b(ac)."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                if t[ab * n + c] != t[b * n + t[a * n + c]]:
-                    return (a, b, c)
-    return None
-
-
-def _check_ag_star_star(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a(bc) = b(ac)."""
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[a * n + t[b * n + c]] != t[b * n + t[a * n + c]]:
-                    return (a, b, c)
-    return None
-
-
-def _check_left_nuclear_square(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a^2(bc) = (a^2 b)c."""
-    for a in range(n):
-        aa = t[a * n + a]
-        for b in range(n):
-            aab = t[aa * n + b]
-            for c in range(n):
-                if t[aa * n + t[b * n + c]] != t[aab * n + c]:
-                    return (a, b, c)
-    return None
-
-
-def _check_middle_nuclear_square(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a(b^2 c) = (a b^2)c."""
-    for a in range(n):
-        for b in range(n):
-            bb = t[b * n + b]
-            abb = t[a * n + bb]
-            for c in range(n):
-                if t[a * n + t[bb * n + c]] != t[abb * n + c]:
-                    return (a, b, c)
-    return None
-
-
-def _check_right_nuclear_square(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a(b c^2) = (ab) c^2."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                cc = t[c * n + c]
-                if t[a * n + t[b * n + cc]] != t[ab * n + cc]:
-                    return (a, b, c)
-    return None
-
-
-def _check_bol_star(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a((bc)d) = ((ab)c)d."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            for c in range(n):
-                bc = t[b * n + c]
-                abc = t[ab * n + c]
-                for d in range(n):
-                    if t[a * n + t[bc * n + d]] != t[abc * n + d]:
-                        return (a, b, c, d)
-    return None
-
-
-def _check_T1(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """ab = cd implies ba = dc."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            ba = t[b * n + a]
-            for c in range(n):
-                for d in range(n):
-                    if ab == t[c * n + d] and ba != t[d * n + c]:
-                        return (a, b, c, d)
-    return None
-
-
-def _check_T3_left(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """ab = ac implies ba = ca."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            ba = t[b * n + a]
-            for c in range(n):
-                if ab == t[a * n + c] and ba != t[c * n + a]:
-                    return (a, b, c)
-    return None
-
-
-def _check_T3_right(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """ba = ca implies ab = ac."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            ba = t[b * n + a]
-            for c in range(n):
-                if ba == t[c * n + a] and ab != t[a * n + c]:
-                    return (a, b, c)
-    return None
-
-
-def _check_left_alternative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(aa)b = a(ab)."""
-    for a in range(n):
-        aa = t[a * n + a]
-        for b in range(n):
-            if t[aa * n + b] != t[a * n + t[a * n + b]]:
-                return (a, b)
-    return None
-
-
-def _check_right_alternative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """b(aa) = (ba)a."""
-    for a in range(n):
-        aa = t[a * n + a]
-        for b in range(n):
-            if t[b * n + aa] != t[t[b * n + a] * n + a]:
-                return (a, b)
-    return None
-
-
-def _check_left_commutative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(ab)c = (ba)c."""
-    for a in range(n):
-        for b in range(n):
-            ab = t[a * n + b]
-            ba = t[b * n + a]
-            if ab == ba:
-                continue
-            for c in range(n):
-                if t[ab * n + c] != t[ba * n + c]:
-                    return (a, b, c)
-    return None
-
-
-def _check_right_commutative(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """a(bc) = a(cb)."""
-    for a in range(n):
-        for b in range(n):
-            for c in range(n):
-                if t[a * n + t[b * n + c]] != t[a * n + t[c * n + b]]:
-                    return (a, b, c)
-    return None
-
-
-def _check_band(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """aa = a for every a."""
-    for a in range(n):
-        if t[a * n + a] != a:
-            return (a,)
-    return None
-
-
-def _check_three_band(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """(aa)a = a(aa) = a for every a."""
-    for a in range(n):
-        aa = t[a * n + a]
-        if t[aa * n + a] != a or t[a * n + aa] != a:
-            return (a,)
-    return None
+def _compile_law(name: str, text: str) -> Checker:
+    namespace: dict = {}
+    exec(compile(_law_source(name, text), f"<law {name}>", "exec"), namespace)
+    checker = namespace[f"_check_{name}"]
+    checker.__doc__ = text
+    return checker
 
 
 def _check_has_left_identity(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
@@ -279,32 +190,7 @@ def _check_has_left_identity(n: int, t: tuple[int, ...]) -> tuple[int, ...] | No
     return ()
 
 
-_BASE_CHECKERS: dict[str, Checker] = {
-    "ag": _check_ag,
-    "right_ag": _check_right_ag,
-    "cyclic_associative": _check_cyclic_associative,
-    "associative": _check_associative,
-    "commutative": _check_commutative,
-    "medial": _check_medial,
-    "paramedial": _check_paramedial,
-    "ag_star": _check_ag_star,
-    "ag_star_star": _check_ag_star_star,
-    "left_nuclear_square": _check_left_nuclear_square,
-    "middle_nuclear_square": _check_middle_nuclear_square,
-    "right_nuclear_square": _check_right_nuclear_square,
-    "bol_star": _check_bol_star,
-    "T1": _check_T1,
-    "T3_left": _check_T3_left,
-    "T3_right": _check_T3_right,
-    "left_alternative": _check_left_alternative,
-    "right_alternative": _check_right_alternative,
-    "left_commutative": _check_left_commutative,
-    "right_commutative": _check_right_commutative,
-    "band": _check_band,
-    "three_band": _check_three_band,
-}
-
-# Conjunction-defined properties, resolved against the checkers above.
+# Conjunction-defined properties: the first failing part gives the witness.
 COMPOSITES: dict[str, tuple[str, ...]] = {
     "semilattice": ("commutative", "band"),
     "nuclear_square": (
@@ -318,28 +204,7 @@ COMPOSITES: dict[str, tuple[str, ...]] = {
 }
 
 CATALOG: tuple[str, ...] = (
-    "ag",
-    "right_ag",
-    "cyclic_associative",
-    "associative",
-    "commutative",
-    "medial",
-    "paramedial",
-    "ag_star",
-    "ag_star_star",
-    "left_nuclear_square",
-    "middle_nuclear_square",
-    "right_nuclear_square",
-    "bol_star",
-    "T1",
-    "T3_left",
-    "T3_right",
-    "left_alternative",
-    "right_alternative",
-    "left_commutative",
-    "right_commutative",
-    "band",
-    "three_band",
+    *LAWS,
     "semilattice",
     "has_left_identity",
     "nuclear_square",
@@ -350,40 +215,13 @@ CATALOG: tuple[str, ...] = (
 
 _INDEX = {name: i for i, name in enumerate(CATALOG)}
 
-# Variables in each atom's defining identity: an atom scans at most n**cost
-# tuples, so the cost orders expression operands cheapest first.
-_BASE_COST: dict[str, int] = {
-    "ag": 3,
-    "right_ag": 3,
-    "cyclic_associative": 3,
-    "associative": 3,
-    "commutative": 2,
-    "medial": 4,
-    "paramedial": 4,
-    "ag_star": 3,
-    "ag_star_star": 3,
-    "left_nuclear_square": 3,
-    "middle_nuclear_square": 3,
-    "right_nuclear_square": 3,
-    "bol_star": 4,
-    "T1": 4,
-    "T3_left": 3,
-    "T3_right": 3,
-    "left_alternative": 2,
-    "right_alternative": 2,
-    "left_commutative": 3,
-    "right_commutative": 3,
-    "band": 1,
-    "three_band": 1,
-    "has_left_identity": 2,
-    "has_cancellative_element": 2,
-}
-
 
 def _composite_checker(parts: tuple[str, ...]) -> Checker:
+    checkers = tuple(CHECKERS[part] for part in parts)
+
     def check(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-        for part in parts:
-            w = _BASE_CHECKERS[part](n, t)
+        for checker in checkers:
+            w = checker(n, t)
             if w is not None:
                 return w
         return None
@@ -391,12 +229,15 @@ def _composite_checker(parts: tuple[str, ...]) -> Checker:
     return check
 
 
-CHECKERS: dict[str, Checker] = dict(_BASE_CHECKERS)
+CHECKERS: dict[str, Checker] = {name: _compile_law(name, law) for name, law in LAWS.items()}
 CHECKERS["has_left_identity"] = _check_has_left_identity
-ATOM_COST: dict[str, int] = dict(_BASE_COST)
+# Variables in each atom's defining identity: an atom scans at most n**cost
+# tuples, so the cost orders expression operands cheapest first.
+ATOM_COST: dict[str, int] = {name: len(set(law) & set(_VARS)) for name, law in LAWS.items()}
+ATOM_COST.update(has_left_identity=2, has_cancellative_element=2)
 for _name, _parts in COMPOSITES.items():
     CHECKERS[_name] = _composite_checker(_parts)
-    ATOM_COST[_name] = max(_BASE_COST[p] for p in _parts)
+    ATOM_COST[_name] = max(ATOM_COST[p] for p in _parts)
 
 
 @dataclass(frozen=True)
@@ -616,21 +457,22 @@ def parse_property_expr(text: str) -> PropertyExpr:
     return PropertyExpr(text, ast, frozenset(names))
 
 
-def atom_value(m: Magma, name: str, cache: dict[str, bool] | None = None) -> bool:
-    """Evaluate one expression atom on a magma, memoized through cache."""
-    if cache is not None and name in cache:
-        return cache[name]
+def atom_value(m: Magma, name: str) -> bool:
+    """Evaluate one expression atom on a magma."""
     if name == "has_cancellative_element":
         left, right = cancellative_elements(m)
-        value = bool(left & right)
-    else:
-        value = check_property(m, name).holds
-    if cache is not None:
-        cache[name] = value
-    return value
+        return bool(left & right)
+    return check_property(m, name).holds
 
 
-def magma_satisfies(m: Magma, expr: PropertyExpr, cache: dict[str, bool] | None = None) -> bool:
-    """Evaluate a property expression on a magma, computing atoms lazily."""
-    local = cache if cache is not None else {}
-    return expr.evaluate(lambda name: atom_value(m, name, local))
+def magma_satisfies(m: Magma, expr: PropertyExpr) -> bool:
+    """Evaluate a property expression on a magma, computing each atom lazily
+    and at most once."""
+    memo: dict[str, bool] = {}
+
+    def lookup(name: str) -> bool:
+        if name not in memo:
+            memo[name] = atom_value(m, name)
+        return memo[name]
+
+    return expr.evaluate(lookup)

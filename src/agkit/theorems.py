@@ -22,7 +22,6 @@ from .props import (
     atom_value,
     check_property,
     idempotents,
-    magma_satisfies,
     parse_property_expr,
 )
 

@@ -250,7 +250,7 @@ def test_enumerate_progress(capsys):
 
 
 def test_classify_passes_and_inconsistent_note(capsys):
-    code, out, _ = run(capsys, "classify", "--order", "2", "--report", "table2")
+    code, out, _ = run(capsys, "classify", "--order", "2")
     assert code == 0
     assert out.count("PASS") == 8
     assert "FAIL" not in out

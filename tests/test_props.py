@@ -1,6 +1,9 @@
 """Property checkers against the independent term-tree oracle."""
 
+import ast
+import hashlib
 from itertools import product
+from pathlib import Path
 
 import pytest
 from hypothesis import given
@@ -19,9 +22,9 @@ from agkit import (
     parse_property_expr,
 )
 
-from agkit.props import ATOM_COST, COMPOSITES, EXPR_ATOMS
+from agkit.props import ATOM_COST, COMPOSITES, EXPR_ATOMS, LAWS, _law_source
 
-from conftest import magmas, oracle_check
+from conftest import ag_universe, magmas, oracle_check
 
 
 def assert_matches_oracle(m: Magma) -> None:
@@ -209,3 +212,50 @@ def test_expression_operands_are_in_stable_cost_order():
         ("atom", "T1"),
         ("not", ("or", (("atom", "commutative"), ("atom", "medial")))),
     ))
+
+
+def test_witness_digest():
+    # Every catalog verdict and witness over all magmas of orders 1-3 and
+    # the 331 AG classes of order 4 (20,031 tables), pinned by SHA-256.
+    tables = [Magma(n, t) for n in (1, 2, 3) for t in product(range(n), repeat=n * n)]
+    tables += ag_universe(4)
+    assert len(tables) == 20031
+    h = hashlib.sha256()
+    for m in tables:
+        for name in CATALOG:
+            r = check_property(m, name)
+            h.update(repr((r.holds, r.witness)).encode())
+    assert h.hexdigest() == (
+        "c7d7e5c29ede7fef2026d19c1562fc0712cecc9a599dc1f3c67e446fccb7f4cf"
+    )
+
+
+def test_conftest_oracle_imports_no_checker():
+    # The term-tree oracle must not share code with the checkers it judges.
+    tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
+    imported = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and (node.module or "").startswith("agkit"):
+            assert node.module == "agkit", node.module
+            imported.update(alias.name for alias in node.names)
+        elif isinstance(node, ast.Import):
+            assert not any(a.name.startswith("agkit") for a in node.names)
+    assert imported <= {"Magma", "enumerate_ag", "fixtures"}, imported
+
+
+def test_law_compiler_hoists_names_and_skips():
+    def source(name):
+        return _law_source(name, LAWS[name])
+
+    # ab and ba are bound above the innermost loop, where (ab)c = (ba)c
+    # holds for every c once ab == ba.
+    assert "ab = t[a * n + b]" in source("left_commutative")
+    assert "if ab == ba: continue" in source("left_commutative")
+    assert "continue" not in source("right_commutative")
+    # Innermost subterms get a name only when they occur twice.
+    assert "cc = t[c * n + c]" in source("right_nuclear_square")
+    assert "aa = t[a * n + a]" in source("three_band")
+    assert "aa =" not in source("band")
+    for bad in ("abc = a", "a(b = a", "ab) = a", "() = a", "ab = ba = ab", "ab", "bc = cb", "e = a"):
+        with pytest.raises(ValueError):
+            _law_source("bad", bad)
