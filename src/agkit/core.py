@@ -7,7 +7,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
 
-_INLINE = re.compile(r"^\s*\d+\s*:")
+_INLINE = re.compile(r"^\s*[0-9]+\s*:")
 
 
 class ParseError(ValueError):
@@ -57,17 +57,17 @@ def mul(m: Magma, a: int, b: int) -> int:
 def parse_magma(text: str) -> Magma:
     """Parse the compact encoding "n:e1,e2,...,e(n^2)" with 0-based entries.
 
-    Spaces around tokens are tolerated.  Raises ParseError naming the
+    The order and the entries are written in the ASCII digits 0-9 only;
+    spaces around tokens are tolerated.  Raises ParseError naming the
     offending token position (1-based) on malformed input.
     """
     head, sep, body = text.partition(":")
     if not sep:
         raise ParseError("expected 'n:e1,e2,...', missing ':'")
     head = head.strip()
-    try:
-        n = int(head)
-    except ValueError:
-        raise ParseError(f"order {head!r} is not an integer") from None
+    if not (head.isascii() and head.isdigit()):
+        raise ParseError(f"order {head!r} is not written in the digits 0-9")
+    n = int(head)
     if n < 1:
         raise ParseError(f"order must be >= 1, got {n}")
     tokens = body.split(",")
@@ -76,11 +76,10 @@ def parse_magma(text: str) -> Magma:
     entries = []
     for i, tok in enumerate(tokens):
         s = tok.strip()
-        try:
-            e = int(s)
-        except ValueError:
-            raise ParseError(f"entry {i + 1} ({s!r}) is not an integer") from None
-        if not 0 <= e < n:
+        if not (s.isascii() and s.isdigit()):
+            raise ParseError(f"entry {i + 1} ({s!r}) is not written in the digits 0-9")
+        e = int(s)
+        if e >= n:
             raise ParseError(f"entry {i + 1} ({e}) not in 0..{n - 1}")
         entries.append(e)
     return Magma(n, tuple(entries))

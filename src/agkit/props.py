@@ -1,12 +1,14 @@
 """Identity-class predicates for finite magmas and the property catalog.
 
-Each law of the catalog is stated once, as data, in LAWS.  At import a
+Each law of the catalog is stated once, as data, in LAWS, and the two
+laws that claims state about idempotents in CLAIM_LAWS.  At import a
 small parser reads each law and a compiler turns it into one nested-loop
 checker, generated with exec, that scans element tuples in lexicographic
 order and returns the first falsifying tuple, or None when the law
 holds, so witnesses are deterministic.  check_property/classify wrap the
-checkers; the raw checker registry CHECKERS is shared with the
-enumeration census.  Property expressions evaluate the operands of each
+catalog checkers; the raw checker registry CHECKERS, which holds one
+checker per expression atom, is shared with the enumeration census and
+the claim runners.  Property expressions evaluate the operands of each
 & and | cheapest first, by the ATOM_COST of their atoms (the number of
 variables of a law), so a one-variable atom can rule a table out before
 a four-variable law scans it.
@@ -53,6 +55,15 @@ LAWS: dict[str, str] = {
     "right_commutative": "a(bc) = a(cb)",
     "band": "aa = a",
     "three_band": "(aa)a = a, a(aa) = a",
+}
+
+# Laws that claims state about idempotents: expression atoms, compiled like
+# LAWS, but not catalog properties.
+CLAIM_LAWS: dict[str, str] = {
+    "idempotents_form_semilattice":
+        "aa = a, bb = b, cc = c -> (ab)(ab) = ab, ab = ba, (ab)c = a(bc)",
+    "idempotent_identity_on_cosets":
+        "aa = a -> a(ab) = ab, (ab)a = ab, a(ba) = ba, (ba)a = ba",
 }
 
 _VARS = "abcd"
@@ -190,6 +201,14 @@ def _check_has_left_identity(n: int, t: tuple[int, ...]) -> tuple[int, ...] | No
     return ()
 
 
+def _check_has_cancellative_element(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
+    """Existence of a whose row and column are both permutations."""
+    for a in range(n):
+        if len(set(t[a * n:a * n + n])) == n and len(set(t[a::n])) == n:
+            return None
+    return ()
+
+
 # Conjunction-defined properties: the first failing part gives the witness.
 COMPOSITES: dict[str, tuple[str, ...]] = {
     "semilattice": ("commutative", "band"),
@@ -229,11 +248,15 @@ def _composite_checker(parts: tuple[str, ...]) -> Checker:
     return check
 
 
-CHECKERS: dict[str, Checker] = {name: _compile_law(name, law) for name, law in LAWS.items()}
-CHECKERS["has_left_identity"] = _check_has_left_identity
+_ALL_LAWS = {**LAWS, **CLAIM_LAWS}
+CHECKERS: dict[str, Checker] = {name: _compile_law(name, law) for name, law in _ALL_LAWS.items()}
+CHECKERS.update(
+    has_left_identity=_check_has_left_identity,
+    has_cancellative_element=_check_has_cancellative_element,
+)
 # Variables in each atom's defining identity: an atom scans at most n**cost
 # tuples, so the cost orders expression operands cheapest first.
-ATOM_COST: dict[str, int] = {name: len(set(law) & set(_VARS)) for name, law in LAWS.items()}
+ATOM_COST: dict[str, int] = {name: len(set(law) & set(_VARS)) for name, law in _ALL_LAWS.items()}
 ATOM_COST.update(has_left_identity=2, has_cancellative_element=2)
 for _name, _parts in COMPOSITES.items():
     CHECKERS[_name] = _composite_checker(_parts)
@@ -275,13 +298,11 @@ class PropertyVector:
 
 def check_property(m: Magma, p: str) -> CheckResult:
     """Check one catalog property; witness is the smallest falsifying tuple."""
-    try:
-        checker = CHECKERS[p]
-    except KeyError:
+    if p not in _INDEX:
         raise UnknownPropertyError(
             f"unknown property {p!r}; valid names: {', '.join(CATALOG)}"
-        ) from None
-    w = checker(m.order, m.table)
+        )
+    w = CHECKERS[p](m.order, m.table)
     if w is None:
         return CheckResult(True, None)
     return CheckResult(False, w if w != () else None)
@@ -320,8 +341,9 @@ def left_identities(m: Magma) -> set[int]:
 
 # --- property expressions -------------------------------------------------
 
-# Extra atoms usable in expressions besides the catalog names.
-EXPR_ATOMS: tuple[str, ...] = CATALOG + ("has_cancellative_element",)
+# Atoms usable in expressions: the catalog names plus the checkers that
+# are no catalog property.
+EXPR_ATOMS: tuple[str, ...] = (*CATALOG, "has_cancellative_element", *CLAIM_LAWS)
 
 _TOKEN_OPS = {
     "&": "&", "∧": "&", "and": "&",
@@ -459,20 +481,28 @@ def parse_property_expr(text: str) -> PropertyExpr:
 
 def atom_value(m: Magma, name: str) -> bool:
     """Evaluate one expression atom on a magma."""
-    if name == "has_cancellative_element":
-        left, right = cancellative_elements(m)
-        return bool(left & right)
-    return check_property(m, name).holds
+    return CHECKERS[name](m.order, m.table) is None
+
+
+class AtomMemo(dict):
+    """Atom values of one magma, each computed on its first lookup.
+
+    Slotted, so a memo kept per magma across a large pool costs no
+    instance __dict__.
+    """
+
+    __slots__ = ("magma",)
+
+    def __init__(self, m: Magma) -> None:
+        super().__init__()
+        self.magma = m
+
+    def __missing__(self, name: str) -> bool:
+        value = self[name] = atom_value(self.magma, name)
+        return value
 
 
 def magma_satisfies(m: Magma, expr: PropertyExpr) -> bool:
     """Evaluate a property expression on a magma, computing each atom lazily
     and at most once."""
-    memo: dict[str, bool] = {}
-
-    def lookup(name: str) -> bool:
-        if name not in memo:
-            memo[name] = atom_value(m, name)
-        return memo[name]
-
-    return expr.evaluate(lookup)
+    return expr.evaluate(AtomMemo(m).__getitem__)

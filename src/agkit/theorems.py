@@ -1,12 +1,16 @@
 """Finite-scale verification of the subclass theorems and counterexamples.
 
-Each claim is either an implication/equivalence checked exhaustively over
-enumerated AG-groupoid classes (plus the bundled tables), a witness claim
-reproducing a known separating example, or a substructure check on the
-idempotents of cyclic associative magmas.  Claims whose proofs lean on
-results about T- or star-class structure imported from outside this
-toolkit's scope are tagged external_premise; they are still checked as
-stated implications, so a finite counterexample would surface here.
+Every claim but the witness claims is a scoped implication, "for every
+magma in scope, if premise then conclusion", checked exhaustively over
+the enumerated AG-groupoid classes plus the bundled tables, optionally
+narrowed to the magmas that satisfy a property expression.  The subclass
+inclusions, the equivalence inside the cyclic associative class and the
+statements about idempotents all take this form; their kind labels name
+the statement, not a runner.  A witness claim reproduces a known
+separating example.  Claims whose proofs lean on results about T- or
+star-class structure imported from outside this toolkit's scope are
+tagged external_premise; they are still checked as stated implications,
+so a finite counterexample would surface here.
 """
 
 from __future__ import annotations
@@ -17,13 +21,7 @@ from typing import Callable, Sequence
 
 from .core import Magma, parse_magma, render_magma
 from .enumeration import BudgetExceeded, enumerate_ag
-from .props import (
-    PropertyExpr,
-    atom_value,
-    check_property,
-    idempotents,
-    parse_property_expr,
-)
+from .props import CHECKERS, AtomMemo, PropertyExpr, parse_property_expr
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
 # Distinct names may carry the same table; they play distinct roles.
@@ -112,24 +110,13 @@ class Implication:
     premise: str
     conclusion: str
     universe: str = "ag"  # "ag", or "all" to include non-AG magmas (order <= 3)
-
-
-@dataclass(frozen=True)
-class Equivalence:
-    scope: str
-    left: str
-    right: str
+    within: str | None = None  # expression narrowing the scope, if any
 
 
 @dataclass(frozen=True)
 class WitnessSpec:
     fixture: str
     expr: str
-
-
-@dataclass(frozen=True)
-class Substructure:
-    check: str
 
 
 @dataclass(frozen=True)
@@ -145,8 +132,8 @@ class Claim:
 class ClaimResult:
     """Outcome of one claim: status plus self-certifying evidence.
 
-    status is verified/counterexample for implication, equivalence and
-    substructure claims, witness-found/witness-missing for witness claims.
+    status is witness-found/witness-missing for witness claims and
+    verified/counterexample for every other claim.
     evidence uses compact magma encodings and 0-based tuples.
     """
 
@@ -259,7 +246,7 @@ CLAIMS: tuple[Claim, ...] = (
     Claim(
         "C14", "implication",
         "every right commutative AG**-groupoid is cyclic associative",
-        (Implication("right_commutative & ag_star_star", "cyclic_associative"),),
+        (Implication("ag_star_star & right_commutative", "cyclic_associative"),),
     ),
     Claim(
         "C15", "witness-exists",
@@ -276,7 +263,13 @@ CLAIMS: tuple[Claim, ...] = (
         "C16", "equivalence",
         "within cyclic associative AG-groupoids, right commutativity and the "
         "AG** identity coincide",
-        (Equivalence("cyclic_associative", "right_commutative", "ag_star_star"),),
+        (
+            Implication(
+                "right_commutative | ag_star_star",
+                "right_commutative & ag_star_star",
+                within="cyclic_associative",
+            ),
+        ),
     ),
     Claim(
         "C17", "implication",
@@ -310,13 +303,23 @@ CLAIMS: tuple[Claim, ...] = (
         "C22", "substructure",
         "in a cyclic associative AG-groupoid the idempotents are closed "
         "under the product and form a semilattice",
-        (Substructure("idempotents_form_semilattice"),),
+        (
+            Implication(
+                "cyclic_associative", "idempotents_form_semilattice",
+                within="cyclic_associative",
+            ),
+        ),
     ),
     Claim(
         "C23", "substructure",
         "in a cyclic associative AG-groupoid each idempotent e is a "
         "two-sided identity on the sets eS and Se",
-        (Substructure("idempotent_identity_on_cosets"),),
+        (
+            Implication(
+                "cyclic_associative", "idempotent_identity_on_cosets",
+                within="cyclic_associative",
+            ),
+        ),
     ),
     Claim(
         "C24", "witness-exists",
@@ -405,13 +408,9 @@ _REGISTRY: dict[str, Claim] = {c.id: c for c in CLAIMS}
 for _claim in CLAIMS:
     for _part in _claim.parts:
         if isinstance(_part, Implication):
-            parse_property_expr(_part.premise)
-            parse_property_expr(_part.conclusion)
-        elif isinstance(_part, Equivalence):
-            parse_property_expr(_part.scope)
-            parse_property_expr(_part.left)
-            parse_property_expr(_part.right)
-        elif isinstance(_part, WitnessSpec):
+            for _text in filter(None, (_part.premise, _part.conclusion, _part.within)):
+                parse_property_expr(_text)
+        else:
             parse_property_expr(_part.expr)
             if _part.fixture not in _FIXTURE_DATA:
                 raise AssertionError(f"claim {_claim.id}: unknown fixture {_part.fixture}")
@@ -446,20 +445,6 @@ def _all_magmas(n: int) -> tuple[Magma, ...]:
     return got
 
 
-class _Atoms(dict):
-    """Atom values of one magma, each computed on its first lookup."""
-
-    __slots__ = ("magma",)
-
-    def __init__(self, m: Magma) -> None:
-        super().__init__()
-        self.magma = m
-
-    def __missing__(self, name: str) -> bool:
-        value = self[name] = atom_value(self.magma, name)
-        return value
-
-
 class _Facts:
     """Memoized property-atom evaluation across claims.
 
@@ -469,12 +454,12 @@ class _Facts:
     """
 
     def __init__(self) -> None:
-        self._by_id: dict[int, _Atoms] = {}
+        self._by_id: dict[int, AtomMemo] = {}
 
     def lookup(self, m: Magma) -> Callable[[str], bool]:
         atoms = self._by_id.get(id(m))
         if atoms is None:
-            atoms = self._by_id[id(m)] = _Atoms(m)
+            atoms = self._by_id[id(m)] = AtomMemo(m)
         return atoms.__getitem__
 
     def satisfies(self, m: Magma, expr: PropertyExpr) -> bool:
@@ -482,14 +467,14 @@ class _Facts:
 
 
 def _implication_pool(
-    universe: str, max_order: int, budget: float | None,
-    claim_id: str, fixture_pool: Sequence[Magma],
+    part: Implication, max_order: int, budget: float | None,
+    claim_id: str, fixture_pool: Sequence[Magma], facts: _Facts,
 ) -> tuple[list[Magma], str]:
     pool: list[Magma] = []
     for k in range(1, max_order + 1):
         pool.extend(_ag_universe(k, budget, claim_id))
     scope = f"AG classes of order <= {max_order} plus bundled tables"
-    if universe == "all":
+    if part.universe == "all":
         cap = min(ALL_MAGMA_ORDER_CAP, max_order)
         extra: list[Magma] = []
         for k in range(1, cap + 1):
@@ -500,6 +485,10 @@ def _implication_pool(
             f"{max_order} and bundled tables"
         )
     pool.extend(fixture_pool)
+    if part.within is not None:
+        within = parse_property_expr(part.within)
+        pool = [m for m in pool if facts.satisfies(m, within)]
+        scope = f"{part.within} magmas among {scope}"
     return pool, scope
 
 
@@ -513,7 +502,7 @@ def _run_implication(
         pre = parse_property_expr(part.premise)
         con = parse_property_expr(part.conclusion)
         pool, scope = _implication_pool(
-            part.universe, max_order, budget, claim.id, fixture_pool
+            part, max_order, budget, claim.id, fixture_pool, facts
         )
         for m in pool:
             look = facts.lookup(m)
@@ -524,34 +513,6 @@ def _run_implication(
                     {"part": k, "magma": render_magma(m, "compact")},
                 )
         checked += len(pool)
-    return ClaimResult(
-        claim.id, claim.kind, "verified", scope, claim.external_premise,
-        claim.statement, {"scope_size": checked},
-    )
-
-
-def _run_equivalence(
-    claim: Claim, max_order: int, budget: float | None,
-    fixture_pool: Sequence[Magma], facts: _Facts,
-) -> ClaimResult:
-    part = claim.parts[0]
-    scope_expr = parse_property_expr(part.scope)
-    left = parse_property_expr(part.left)
-    right = parse_property_expr(part.right)
-    pool, scope = _implication_pool("ag", max_order, budget, claim.id, fixture_pool)
-    scope = f"{part.scope} magmas among " + scope
-    checked = 0
-    for m in pool:
-        look = facts.lookup(m)
-        if not scope_expr.evaluate(look):
-            continue
-        checked += 1
-        if left.evaluate(look) != right.evaluate(look):
-            return ClaimResult(
-                claim.id, claim.kind, "counterexample", scope,
-                claim.external_premise, claim.statement,
-                {"magma": render_magma(m, "compact")},
-            )
     return ClaimResult(
         claim.id, claim.kind, "verified", scope, claim.external_premise,
         claim.statement, {"scope_size": checked},
@@ -569,10 +530,9 @@ def _witness_part_report(
     atoms = {name: look(name) for name in sorted(expr.names)}
     falsifying = {}
     for name, value in atoms.items():
-        if not value and name != "has_cancellative_element":
-            w = check_property(m, name).witness
-            if w is not None:
-                falsifying[name] = w
+        # Existential atoms fail with an empty witness; skip those.
+        if not value and (w := CHECKERS[name](m.order, m.table)):
+            falsifying[name] = w
     report: dict = {
         "fixture": part.fixture,
         "expr": part.expr,
@@ -612,73 +572,6 @@ def _run_witness(
     )
 
 
-def _ca_pool(
-    max_order: int, budget: float | None, claim_id: str,
-    fixture_pool: Sequence[Magma], facts: _Facts,
-) -> list[Magma]:
-    pool: list[Magma] = []
-    for k in range(1, max_order + 1):
-        pool.extend(_ag_universe(k, budget, claim_id))
-    pool.extend(fixture_pool)
-    return [m for m in pool if facts.lookup(m)("cyclic_associative")]
-
-
-def _check_idempotents_form_semilattice(m: Magma) -> str | None:
-    n, t = m.order, m.table
-    es = sorted(idempotents(m))
-    eset = set(es)
-    for a in es:
-        for b in es:
-            ab = t[a * n + b]
-            if ab not in eset:
-                return f"product {a}*{b}={ab} leaves the idempotent set"
-            if ab != t[b * n + a]:
-                return f"idempotents {a},{b} do not commute"
-    for a in es:
-        for b in es:
-            for c in es:
-                if t[t[a * n + b] * n + c] != t[a * n + t[b * n + c]]:
-                    return f"idempotents {a},{b},{c} do not associate"
-    return None
-
-
-def _check_idempotent_identity_on_cosets(m: Magma) -> str | None:
-    n, t = m.order, m.table
-    for e in sorted(idempotents(m)):
-        members = {t[e * n + a] for a in range(n)} | {t[a * n + e] for a in range(n)}
-        for s in sorted(members):
-            if t[e * n + s] != s or t[s * n + e] != s:
-                return f"idempotent {e} is not an identity for {s}"
-    return None
-
-
-_SUBSTRUCTURE_CHECKS = {
-    "idempotents_form_semilattice": _check_idempotents_form_semilattice,
-    "idempotent_identity_on_cosets": _check_idempotent_identity_on_cosets,
-}
-
-
-def _run_substructure(
-    claim: Claim, max_order: int, budget: float | None,
-    fixture_pool: Sequence[Magma], facts: _Facts,
-) -> ClaimResult:
-    check = _SUBSTRUCTURE_CHECKS[claim.parts[0].check]
-    pool = _ca_pool(max_order, budget, claim.id, fixture_pool, facts)
-    scope = f"cyclic associative magmas among AG classes of order <= {max_order} and bundled tables"
-    for m in pool:
-        detail = check(m)
-        if detail is not None:
-            return ClaimResult(
-                claim.id, claim.kind, "counterexample", scope,
-                claim.external_premise, claim.statement,
-                {"magma": render_magma(m, "compact"), "detail": detail},
-            )
-    return ClaimResult(
-        claim.id, claim.kind, "verified", scope, claim.external_premise,
-        claim.statement, {"scope_size": len(pool)},
-    )
-
-
 def verify_claims(
     max_order: int = 4,
     ids: Sequence[str] | None = None,
@@ -706,18 +599,10 @@ def verify_claims(
     facts = _Facts()
     results = []
     for claim in selected:
-        if claim.kind == "implication":
-            results.append(
-                _run_implication(claim, max_order, budget, fixture_pool, facts)
-            )
-        elif claim.kind == "equivalence":
-            results.append(
-                _run_equivalence(claim, max_order, budget, fixture_pool, facts)
-            )
-        elif claim.kind == "witness-exists":
+        if claim.kind == "witness-exists":
             results.append(_run_witness(claim, max_order, budget, fixmap, facts))
         else:
             results.append(
-                _run_substructure(claim, max_order, budget, fixture_pool, facts)
+                _run_implication(claim, max_order, budget, fixture_pool, facts)
             )
     return results

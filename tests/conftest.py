@@ -42,75 +42,97 @@ def eval_term(term, t, n, env):
     return t[eval_term(term[1], t, n, env) * n + eval_term(term[2], t, n, env)]
 
 
-# name -> (nvars, when, musts); when is an optional (lhs, rhs) hypothesis
-# equation, musts a list of (lhs, rhs) equations all of which must hold.
+# name -> (nvars, when, musts); when is a list of (lhs, rhs) hypothesis
+# equations, musts a list of (lhs, rhs) equations all of which must hold
+# wherever every hypothesis does.
 ORACLE_IDENTITIES = {
-    "ag": (3, None, [(M(M(V(0), V(1)), V(2)), M(M(V(2), V(1)), V(0)))]),
-    "right_ag": (3, None, [(M(V(0), M(V(1), V(2))), M(V(2), M(V(1), V(0))))]),
-    "cyclic_associative": (3, None, [(M(V(0), M(V(1), V(2))), M(V(2), M(V(0), V(1))))]),
-    "associative": (3, None, [(M(M(V(0), V(1)), V(2)), M(V(0), M(V(1), V(2))))]),
-    "commutative": (2, None, [(M(V(0), V(1)), M(V(1), V(0)))]),
+    "ag": (3, [], [(M(M(V(0), V(1)), V(2)), M(M(V(2), V(1)), V(0)))]),
+    "right_ag": (3, [], [(M(V(0), M(V(1), V(2))), M(V(2), M(V(1), V(0))))]),
+    "cyclic_associative": (3, [], [(M(V(0), M(V(1), V(2))), M(V(2), M(V(0), V(1))))]),
+    "associative": (3, [], [(M(M(V(0), V(1)), V(2)), M(V(0), M(V(1), V(2))))]),
+    "commutative": (2, [], [(M(V(0), V(1)), M(V(1), V(0)))]),
     "medial": (
-        4, None,
+        4, [],
         [(M(M(V(0), V(1)), M(V(2), V(3))), M(M(V(0), V(2)), M(V(1), V(3))))],
     ),
     "paramedial": (
-        4, None,
+        4, [],
         [(M(M(V(0), V(1)), M(V(2), V(3))), M(M(V(3), V(1)), M(V(2), V(0))))],
     ),
-    "ag_star": (3, None, [(M(M(V(0), V(1)), V(2)), M(V(1), M(V(0), V(2))))]),
-    "ag_star_star": (3, None, [(M(V(0), M(V(1), V(2))), M(V(1), M(V(0), V(2))))]),
+    "ag_star": (3, [], [(M(M(V(0), V(1)), V(2)), M(V(1), M(V(0), V(2))))]),
+    "ag_star_star": (3, [], [(M(V(0), M(V(1), V(2))), M(V(1), M(V(0), V(2))))]),
     "left_nuclear_square": (
-        3, None,
+        3, [],
         [(M(M(V(0), V(0)), M(V(1), V(2))), M(M(M(V(0), V(0)), V(1)), V(2)))],
     ),
     "middle_nuclear_square": (
-        3, None,
+        3, [],
         [(M(V(0), M(M(V(1), V(1)), V(2))), M(M(V(0), M(V(1), V(1))), V(2)))],
     ),
     "right_nuclear_square": (
-        3, None,
+        3, [],
         [(M(V(0), M(V(1), M(V(2), V(2)))), M(M(V(0), V(1)), M(V(2), V(2))))],
     ),
     "bol_star": (
-        4, None,
+        4, [],
         [(M(V(0), M(M(V(1), V(2)), V(3))), M(M(M(V(0), V(1)), V(2)), V(3)))],
     ),
     "T1": (
         4,
-        (M(V(0), V(1)), M(V(2), V(3))),
+        [(M(V(0), V(1)), M(V(2), V(3)))],
         [(M(V(1), V(0)), M(V(3), V(2)))],
     ),
     "T3_left": (
         3,
-        (M(V(0), V(1)), M(V(0), V(2))),
+        [(M(V(0), V(1)), M(V(0), V(2)))],
         [(M(V(1), V(0)), M(V(2), V(0)))],
     ),
     "T3_right": (
         3,
-        (M(V(1), V(0)), M(V(2), V(0))),
+        [(M(V(1), V(0)), M(V(2), V(0)))],
         [(M(V(0), V(1)), M(V(0), V(2)))],
     ),
     "left_alternative": (
-        2, None,
+        2, [],
         [(M(M(V(0), V(0)), V(1)), M(V(0), M(V(0), V(1))))],
     ),
     "right_alternative": (
-        2, None,
+        2, [],
         [(M(V(1), M(V(0), V(0))), M(M(V(1), V(0)), V(0)))],
     ),
     "left_commutative": (
-        3, None,
+        3, [],
         [(M(M(V(0), V(1)), V(2)), M(M(V(1), V(0)), V(2)))],
     ),
     "right_commutative": (
-        3, None,
+        3, [],
         [(M(V(0), M(V(1), V(2))), M(V(0), M(V(2), V(1))))],
     ),
-    "band": (1, None, [(M(V(0), V(0)), V(0))]),
+    "band": (1, [], [(M(V(0), V(0)), V(0))]),
     "three_band": (
-        1, None,
+        1, [],
         [(M(M(V(0), V(0)), V(0)), V(0)), (M(V(0), M(V(0), V(0))), V(0))],
+    ),
+    # Idempotents multiply to idempotents and form a semilattice.
+    "idempotents_form_semilattice": (
+        3,
+        [(M(V(0), V(0)), V(0)), (M(V(1), V(1)), V(1)), (M(V(2), V(2)), V(2))],
+        [
+            (M(M(V(0), V(1)), M(V(0), V(1))), M(V(0), V(1))),
+            (M(V(0), V(1)), M(V(1), V(0))),
+            (M(M(V(0), V(1)), V(2)), M(V(0), M(V(1), V(2)))),
+        ],
+    ),
+    # An idempotent e is a two-sided identity on eS and Se.
+    "idempotent_identity_on_cosets": (
+        2,
+        [(M(V(0), V(0)), V(0))],
+        [
+            (M(V(0), M(V(0), V(1))), M(V(0), V(1))),
+            (M(M(V(0), V(1)), V(0)), M(V(0), V(1))),
+            (M(V(0), M(V(1), V(0))), M(V(1), V(0))),
+            (M(M(V(1), V(0)), V(0)), M(V(1), V(0))),
+        ],
     ),
 }
 
@@ -145,9 +167,8 @@ def oracle_check(m: Magma, name: str):
         return True, None
     nvars, when, musts = ORACLE_IDENTITIES[name]
     for env in itertools.product(range(n), repeat=nvars):
-        if when is not None:
-            if eval_term(when[0], t, n, env) != eval_term(when[1], t, n, env):
-                continue
+        if any(eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env) for lhs, rhs in when):
+            continue
         for lhs, rhs in musts:
             if eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env):
                 return False, env

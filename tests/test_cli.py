@@ -72,15 +72,25 @@ def test_check_json(capsys):
 
 
 def test_check_unknown_property_exits_two(capsys):
-    code, _, err = run(capsys, "check", "1:0", "--props", "assoc")
-    assert code == 2
-    assert "unknown property" in err
+    # Expression atoms outside the catalog are not --props names either.
+    for name in ("assoc", "has_cancellative_element", "idempotent_identity_on_cosets"):
+        code, _, err = run(capsys, "check", "1:0", "--props", name)
+        assert code == 2, name
+        assert "unknown property" in err, name
 
 
 def test_check_parse_error_position(capsys):
     code, _, err = run(capsys, "check", "2:0,9,0,0", "--props", "ag")
     assert code == 2
     assert "entry 2" in err
+
+
+def test_check_rejects_underscored_entry(capsys):
+    # int() would read "0_1" as 1 and make the table commutative.
+    code, out, err = run(capsys, "check", "2:0,1,1,0_1", "--props", "commutative")
+    assert code == 2
+    assert out == ""
+    assert "entry 4" in err
 
 
 def test_check_file_input(tmp_path, capsys):

@@ -60,6 +60,13 @@ def test_parse_magma_errors_carry_position():
         parse_magma("2:0,1,1")
     with pytest.raises(ParseError):
         parse_magma("0:")
+    # Only the ASCII digits 0-9: no sign, no underscore, no other digits.
+    for bad in ("0_1", "+1", "-0", "\u0661", ""):
+        with pytest.raises(ParseError, match="entry 4"):
+            parse_magma(f"2:0,1,1,{bad}")
+        with pytest.raises(ParseError, match="order"):
+            parse_magma(f"{bad}:0")
+    assert parse_magma("02:0,1,1,00").table == (0, 1, 1, 0)
 
 
 def test_compact_render_round_trips():
@@ -116,3 +123,6 @@ def test_read_magmas_inline_encoding():
     assert read_magmas(" 3 : 0,0,0,0,1,0,0,0,2") == [parse_magma("3:0,0,0,0,1,0,0,0,2")]
     with pytest.raises(ParseError, match="expected 4 entries"):
         read_magmas("2:0,0,0")
+    # A non-ASCII digit does not make an inline encoding, so it is a path.
+    with pytest.raises(FileNotFoundError):
+        read_magmas("\u0662:0,0,0,0")

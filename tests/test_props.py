@@ -22,7 +22,15 @@ from agkit import (
     parse_property_expr,
 )
 
-from agkit.props import ATOM_COST, COMPOSITES, EXPR_ATOMS, LAWS, _law_source
+from agkit.props import (
+    ATOM_COST,
+    CHECKERS,
+    CLAIM_LAWS,
+    COMPOSITES,
+    EXPR_ATOMS,
+    LAWS,
+    _law_source,
+)
 
 from conftest import ag_universe, magmas, oracle_check
 
@@ -100,6 +108,10 @@ def test_unknown_property_raises():
     m = parse_magma("2:0,0,0,0")
     with pytest.raises(UnknownPropertyError, match="valid names"):
         check_property(m, "assoc")
+    # Expression atoms outside the catalog are not properties.
+    for name in set(EXPR_ATOMS) - set(CATALOG):
+        with pytest.raises(UnknownPropertyError):
+            check_property(m, name)
     with pytest.raises(UnknownPropertyError):
         classify(m)["nope"]
 
@@ -169,10 +181,30 @@ def test_expression_precedence_and_parens():
     assert not magma_satisfies(m, parse_property_expr("!(band & ag | !band)"))
 
 
-def test_expression_has_cancellative_element_atom(fixture_map):
+def test_expression_has_cancellative_element_atom(fixture_map, universe4):
     expr = parse_property_expr("has_cancellative_element")
     assert magma_satisfies(fixture_map["table6"], expr)
     assert not magma_satisfies(fixture_map["table1"], expr)
+    # Existential, like has_left_identity: an empty witness on failure.
+    tables = [Magma(n, t) for n in (2, 3) for t in product(range(n), repeat=n * n)]
+    for m in tables + universe4:
+        left, right = cancellative_elements(m)
+        want = None if left & right else ()
+        assert CHECKERS["has_cancellative_element"](m.order, m.table) == want, m
+
+
+def test_claim_laws_match_oracle():
+    # The idempotent laws are no catalog properties, so check_property and
+    # the catalog oracle tests skip them; compare holds and witness here.
+    tables = [Magma(n, t) for n in (1, 2, 3) for t in product(range(n), repeat=n * n)]
+    tables += ag_universe(4)
+    failing = dict.fromkeys(CLAIM_LAWS, 0)
+    for m in tables:
+        for name in CLAIM_LAWS:
+            holds, witness = oracle_check(m, name)
+            assert CHECKERS[name](m.order, m.table) == witness, (name, m)
+            failing[name] += not holds
+    assert all(failing.values()), failing
 
 
 def test_expression_errors():

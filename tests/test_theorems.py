@@ -18,6 +18,8 @@ from agkit import (
     verify_claims,
 )
 
+from conftest import oracle_check
+
 
 def test_fixture_names_and_orders(fixture_map):
     assert len(fixture_map) == 21
@@ -162,6 +164,24 @@ def test_results_are_self_certifying(fixture_map):
             assert m == fixture_map[part["fixture"]]
 
 
+@pytest.mark.parametrize("law", ["idempotents_form_semilattice", "idempotent_identity_on_cosets"])
+def test_scoped_implication_reports_counterexample(law):
+    # The idempotent laws of C22 and C23 fail on some AG-groupoid (the
+    # semilattice law first at order 4); a scope narrowed by within must
+    # still catch it, in the implication shape.
+    from agkit.theorems import Claim, Implication, _Facts, _run_implication
+
+    bogus = Claim("X2", "substructure", f"every AG-groupoid satisfies {law}",
+                  (Implication("ag", law, within="ag"),))
+    result = _run_implication(bogus, 4, None, [], _Facts())
+    assert result.status == "counterexample"
+    assert result.scope == "ag magmas among AG classes of order <= 4 plus bundled tables"
+    assert set(result.evidence) == {"part", "magma"}
+    assert result.evidence["part"] == 0
+    holds, _ = oracle_check(parse_magma(result.evidence["magma"]), law)
+    assert not holds
+
+
 def test_implication_counterexample_detection():
     # sanity of the engine itself: a false implication must be caught
     from agkit.theorems import Claim, Implication, _Facts, _run_implication
@@ -192,7 +212,7 @@ def test_verify_order_4_json_is_pinned(capsys):
     assert main(["verify", "--max-order", "4", "--json"]) == 0
     out = capsys.readouterr().out
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
-        "bfe912825191a47e02afff5a4403400945b1d7a70849e1d52da1a89ff10b59e2"
+        "74a2f0f056fc7ae5f61e9dbf324730d18712136cc7181d4655ddc2ca7cf220e9"
     )
 
 
@@ -210,3 +230,24 @@ def test_four_variable_premises_run_only_on_bands(monkeypatch):
     results = verify_claims(max_order=4, ids=["C3", "C7", "C31"])
     assert [r.status for r in results] == ["verified"] * 3
     assert calls["paramedial"] > 0 and calls["bol_star"] > 0
+
+
+def test_c14_runs_right_commutative_only_on_ag_star_star(monkeypatch):
+    # Both atoms cost 3; the premise's text order puts the more selective
+    # ag_star_star first.
+    from agkit import props
+
+    ag_star_star = props.CHECKERS["ag_star_star"]
+    right_commutative = props.CHECKERS["right_commutative"]
+    calls = 0
+
+    def counted(n, t):
+        nonlocal calls
+        assert ag_star_star(n, t) is None, (n, t)
+        calls += 1
+        return right_commutative(n, t)
+
+    monkeypatch.setitem(props.CHECKERS, "right_commutative", counted)
+    (result,) = verify_claims(max_order=4, ids=["C14"])
+    assert result.status == "verified"
+    assert calls > 0
