@@ -40,11 +40,8 @@ from .props import (
     PropertyExpr,
     PropertyVector,
     UnknownPropertyError,
-    cancellative_elements,
     check_property,
     classify,
-    idempotents,
-    left_identities,
     magma_satisfies,
     parse_property_expr,
 )
@@ -75,11 +72,8 @@ __all__ = [
     "PropertyExpr",
     "PropertyVector",
     "UnknownPropertyError",
-    "cancellative_elements",
     "check_property",
     "classify",
-    "idempotents",
-    "left_identities",
     "magma_satisfies",
     "parse_property_expr",
     "CanonicalKey",

@@ -49,12 +49,18 @@ def _one_based(witness: tuple[int, ...]) -> str:
     return "(" + ", ".join(str(v + 1) for v in witness) + ")"
 
 
+def _ascii_int(raw: str) -> int | None:
+    """The value of raw when it is written in the digits 0-9, else None.
+
+    int() also takes underscores and the digits of other scripts.
+    """
+    raw = raw.strip()
+    return int(raw) if raw.isascii() and raw.isdigit() else None
+
+
 def _default_jobs() -> int:
-    raw = os.environ.get("AGKIT_JOBS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
+    jobs = _ascii_int(os.environ.get("AGKIT_JOBS", "1"))
+    return max(1, jobs) if jobs is not None else 1
 
 
 def _require_allow_large(order: int, allow_large: bool) -> None:
@@ -65,7 +71,9 @@ def _require_allow_large(order: int, allow_large: bool) -> None:
 
 
 # (flag, namespace attribute, least accepted value) of the numeric options.
+# argparse passes the integer ones on as text; the defaults are numbers.
 _LOWER_BOUNDS = (
+    ("--order", "order", 1),
     ("--max-order", "max_order", 1),
     ("--jobs", "jobs", 1),
     ("--budget", "budget", 0),
@@ -73,8 +81,14 @@ _LOWER_BOUNDS = (
 
 
 def _check_bounds(args: argparse.Namespace) -> None:
+    """Convert the integer options from text and check every bound."""
     for flag, dest, low in _LOWER_BOUNDS:
         value = getattr(args, dest, None)
+        if isinstance(value, str):
+            raw, value = value, _ascii_int(value)
+            if value is None:
+                raise ValueError(f"{flag} {raw!r} is not written in the digits 0-9")
+            setattr(args, dest, value)
         if value is not None and not value >= low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
 
@@ -222,11 +236,9 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
         )
     except BudgetExceeded as exc:
         print(f"partial: {exc}", file=sys.stderr)
-        if close_out:
-            out_stream.close()
         return 3
     finally:
-        if close_out and not out_stream.closed:
+        if close_out:
             out_stream.close()
 
     count = matched if expr is not None else total
@@ -240,7 +252,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
 def _parse_partition(raw: str | None) -> tuple[int, int] | None:
     if raw is None:
         return None
-    m = re.fullmatch(r"(\d+)/(\d+)", raw.strip())
+    m = re.fullmatch(r"([0-9]+)/([0-9]+)", raw.strip())
     if not m:
         raise ValueError(f"--partition expects i/k, got {raw!r}")
     return int(m.group(1)), int(m.group(2))
@@ -253,9 +265,6 @@ def _cmd_classify(args: argparse.Namespace) -> int:
         counts = report.counts
         partial = False
     except BudgetExceeded as exc:
-        if exc.partial_counts is None:
-            print(f"partial: {exc}", file=sys.stderr)
-            return 3
         counts = exc.partial_counts
         partial = True
         print(f"partial: {exc}", file=sys.stderr)
@@ -363,20 +372,20 @@ def _build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=_cmd_canon)
 
     p = sub.add_parser("enumerate", help="enumerate AG-groupoid classes of one order")
-    p.add_argument("--order", type=int, required=True)
+    p.add_argument("--order", required=True)
     p.add_argument("--class", dest="cls", help="keep only classes satisfying this expression")
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="write magma lines to this file instead of stdout")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--jobs", default=_default_jobs())
     p.add_argument("--budget", type=float, help="wall-clock seconds before stopping")
     p.add_argument("--partition", help="i/k: run the i-th of k round-robin slices")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
 
     p = sub.add_parser("classify", help="census of one order against the reference table")
-    p.add_argument("--order", type=int, required=True)
-    p.add_argument("--jobs", type=int, default=_default_jobs())
+    p.add_argument("--order", required=True)
+    p.add_argument("--jobs", default=_default_jobs())
     p.add_argument("--budget", type=float)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")
@@ -384,7 +393,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="verify the theorem and counterexample claims")
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
-    p.add_argument("--max-order", type=int, default=4)
+    p.add_argument("--max-order", default=4)
     p.add_argument("--budget", type=float)
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)

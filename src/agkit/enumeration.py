@@ -4,9 +4,9 @@ The search assigns table cells in row-major order under constraint
 propagation for the left invertive law, and accepts a completed table only
 when it equals its own minimal-image canonical form, so each isomorphism
 class is emitted exactly once, in canonical form, in increasing
-lexicographic order.  The tree is split into independent partitions at the
-first table row for parallel and resumable runs; totals are deterministic
-for any job count.
+lexicographic order.  The tree is split into n**n independent work units,
+one per first table row, in lexicographic order of that row, for parallel
+and resumable runs; totals are deterministic for any job count.
 """
 
 from __future__ import annotations
@@ -15,7 +15,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
-from typing import Callable, Optional, Sequence
+from itertools import product
+from typing import Callable, Optional
 
 from .core import Magma
 from .iso import _perm_data
@@ -63,9 +64,11 @@ class EnumerationReport:
 class BudgetExceeded(RuntimeError):
     """Wall-clock budget ran out; partial progress is attached.
 
-    partial_count includes classes from the interrupted partition, so a
-    resume that re-runs partitions from partitions_done onward re-counts
-    that partition from scratch.
+    A partition is one work unit: one of the n**n first table rows, in
+    lexicographic order.  partial_count includes classes from the
+    interrupted partition, so a resume that re-runs partitions from
+    partitions_done onward re-counts that partition from scratch.  In
+    census mode partial_counts holds the census rows counted so far.
     """
 
     def __init__(
@@ -94,12 +97,12 @@ class _DeadlineHit(Exception):
 def _search(
     n: int,
     emit: Optional[Callable[[tuple[int, ...]], None]],
+    first_row: tuple[int, ...],
     *,
-    forced: Sequence[tuple[int, int]] = (),
     deadline: float | None = None,
-    collect_partitions: list | None = None,
 ) -> int:
-    """Depth-first table completion; returns the number of classes emitted.
+    """Depth-first completion of the tables whose row 0 is first_row;
+    returns the number of classes emitted.
 
     State: flat table with -1 for undecided cells, occ[v] listing the cells
     holding v, and an assignment trail for undo.  assign() enforces every
@@ -118,9 +121,11 @@ def _search(
     replaced by a new tuple; a parent's list is never mutated, and the root
     list is the cached _perm_data(n) tuple itself.
 
-    forced replays a choice sequence to re-enter a partition.  With
-    collect_partitions, the search instead stops whenever row 0 is fully
-    decided, records the choice sequence, and backtracks.
+    Every first row is consistent, so it is replayed unchecked.  While
+    only row 0 is decided, assign() of (0, q) = v meets one decided cell
+    in its first loop, (0, q) itself, and both sides of that instance are
+    the cell (v, 0); its second loop reads row q, which is empty for
+    q >= 1 and holds only (0, 0), the first cell replayed, for q = 0.
     """
     size = n * n
     T = [-1] * size
@@ -129,8 +134,6 @@ def _search(
     rng = range(n)
     count = 0
     nodes = 0
-    choices: list[tuple[int, int]] = []
-    track = collect_partitions is not None
 
     def assign(idx: int, v: int) -> bool:
         w = T[idx]
@@ -225,9 +228,6 @@ def _search(
             raise _DeadlineHit()
         while idx < size and T[idx] >= 0:
             idx += 1
-        if track and idx >= n:
-            collect_partitions.append(tuple(choices))
-            return
         if idx == size:
             final = filter_perms(alive)
             if final is None:
@@ -247,36 +247,24 @@ def _search(
         for v in rng:
             mark = len(trail)
             if assign(idx, v):
-                if track:
-                    choices.append((idx, v))
-                    dfs(idx + 1, alive, filter_row)
-                    choices.pop()
-                else:
-                    dfs(idx + 1, alive, filter_row)
+                dfs(idx + 1, alive, filter_row)
             undo(mark)
 
-    for idx, v in forced:
-        if not assign(idx, v):
-            return 0
+    for idx, v in enumerate(first_row):
+        assign(idx, v)
     dfs(0, _perm_data(n), 1)
     return count
 
 
-def _partitions(n: int, deadline: float | None = None) -> list[tuple[tuple[int, int], ...]]:
-    """Choice sequences deciding row 0; each roots an independent subtree."""
-    parts: list[tuple[tuple[int, int], ...]] = []
-    _search(n, None, deadline=deadline, collect_partitions=parts)
-    return parts
-
-
 def _work_unit(args) -> tuple:
-    """Run one partition; picklable for process pools.
+    """Run one work unit, the tables with one first row; picklable for
+    process pools.
 
     Returns ("ok"|"partial", class_count, payload) with payload the table
     list in "tables" mode, the census accumulator in "census" mode, else
     None.
     """
-    n, forced, mode, wall_deadline = args
+    n, first_row, mode, wall_deadline = args
     deadline = None
     if wall_deadline is not None:
         deadline = time.monotonic() + max(0.0, wall_deadline - time.time())
@@ -307,7 +295,7 @@ def _work_unit(args) -> tuple:
 
     payload = tables if mode == "tables" else acc if mode == "census" else None
     try:
-        cnt = _search(n, emit, forced=forced, deadline=deadline)
+        cnt = _search(n, emit, first_row, deadline=deadline)
     except _DeadlineHit:
         done = acc[0] if mode == "census" else len(tables)
         return ("partial", done, payload)
@@ -336,12 +324,8 @@ def _run(
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     wall_deadline = time.time() + budget if budget is not None else None
-    mono_deadline = time.monotonic() + budget if budget is not None else None
-    try:
-        parts = _partitions(n, deadline=mono_deadline)
-    except _DeadlineHit:
-        raise BudgetExceeded(n, 0, 0, 0) from None
-    units = [(n, forced, mode, wall_deadline) for forced in parts[_parse_slice(partition)]]
+    rows = list(product(range(n), repeat=n))[_parse_slice(partition)]
+    units = [(n, row, mode, wall_deadline) for row in rows]
 
     total = 0
     agg = [0, 0, 0, 0, 0]
@@ -394,8 +378,10 @@ def enumerate_ag(
     sink, when given, receives each class exactly once as a canonical
     Magma, in a deterministic order independent of the job count.  budget
     is wall-clock seconds; on overrun BudgetExceeded carries the partial
-    count.  partition=(i, k) restricts the run to the i-th of k round-robin
-    slices of the first-row partitions (1-based); slice counts sum to the
+    count.  The search runs in n**n work units, one per first table row, in
+    lexicographic order of that row.  partition=(i, k) restricts the run to
+    the i-th of k round-robin slices of the units (1-based): the first rows
+    of lexicographic rank i-1, i-1+k, i-1+2k, ...; slice counts sum to the
     full count.
     """
     mode = "tables" if sink is not None else "count"

@@ -121,10 +121,13 @@ def _law_source(name: str, text: str) -> str:
     Loops bind the variables in order, so the first falsifying tuple is
     the lexicographically smallest.  A compound subterm is computed once,
     in the loop where its last variable is bound; in the innermost loop
-    it gets a local name only when it occurs twice.  When the two sides
-    of a lone equation differ in one pair of subterms bound above the
-    innermost loop, the checker skips the inner loops wherever that pair
-    is equal, since the equation then holds for every inner binding.
+    it gets a local name only when it occurs twice.  A hypothesis whose
+    sides are bound above the innermost loop is tested in the loop that
+    binds its last variable, which skips the inner loops where it fails.
+    When the two sides of a lone equation differ in one pair of subterms
+    bound above the innermost loop, the checker skips the inner loops
+    wherever that pair is equal, since the equation then holds for every
+    inner binding.
     """
     hyps, _, concl = text.rpartition("->")
     hyps, eqs = _equations(hyps), _equations(concl)
@@ -166,6 +169,13 @@ def _law_source(name: str, text: str) -> str:
             value, local = expr(x), _letters(x)
             names[x] = local if local not in names.values() else f"{local}_{len(names)}"
             stmts[level(x)].append(f"{names[x]} = {value}")
+    inner_hyps = []
+    for lhs, rhs in hyps:
+        k = max(level(lhs), level(rhs))
+        if k < last:
+            stmts[k].append(f"if {expr(lhs)} != {expr(rhs)}: continue")
+        else:
+            inner_hyps.append((lhs, rhs))
     if not hyps and len(eqs) == 1:
         s, s2 = _differing_pair(*eqs[0])
         k = max(level(s), level(s2))
@@ -176,8 +186,8 @@ def _law_source(name: str, text: str) -> str:
         lines.append("    " * (k + 1) + f"for {_VARS[k]} in range(n):")
         lines += ["    " * (k + 2) + stmt for stmt in stmts[k]]
     cond = " or ".join(f"{expr(lhs)} != {expr(rhs)}" for lhs, rhs in eqs)
-    if hyps:
-        cond = " and ".join([f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in hyps]
+    if inner_hyps:
+        cond = " and ".join([f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in inner_hyps]
                             + [cond if len(eqs) == 1 else f"({cond})"])
     pad = "    " * (nvars + 1)
     witness = ", ".join(_VARS[:nvars]) + "," * (nvars == 1)
@@ -292,9 +302,6 @@ class PropertyVector:
     def as_dict(self) -> dict[str, bool]:
         return dict(zip(CATALOG, self.flags))
 
-    def true_names(self) -> tuple[str, ...]:
-        return tuple(nm for nm, f in zip(CATALOG, self.flags) if f)
-
 
 def check_property(m: Magma, p: str) -> CheckResult:
     """Check one catalog property; witness is the smallest falsifying tuple."""
@@ -313,30 +320,6 @@ def classify(m: Magma) -> PropertyVector:
     n, t = m.order, m.table
     flags = tuple(CHECKERS[name](n, t) is None for name in CATALOG)
     return PropertyVector(flags)
-
-
-def idempotents(m: Magma) -> set[int]:
-    """Elements a with aa = a."""
-    n, t = m.order, m.table
-    return {a for a in range(n) if t[a * n + a] == a}
-
-
-def cancellative_elements(m: Magma) -> tuple[set[int], set[int]]:
-    """(left, right) cancellative elements.
-
-    a is left cancellative iff row a is a permutation, right cancellative
-    iff column a is a permutation.
-    """
-    n, t = m.order, m.table
-    left = {a for a in range(n) if len(set(t[a * n:a * n + n])) == n}
-    right = {a for a in range(n) if len({t[b * n + a] for b in range(n)}) == n}
-    return left, right
-
-
-def left_identities(m: Magma) -> set[int]:
-    """Elements e with ea = a for every a."""
-    n, t = m.order, m.table
-    return {e for e in range(n) if all(t[e * n + a] == a for a in range(n))}
 
 
 # --- property expressions -------------------------------------------------

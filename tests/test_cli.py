@@ -4,7 +4,7 @@ import json
 
 import pytest
 
-from agkit import parse_magma
+from agkit import cli, parse_magma
 from agkit.cli import main
 
 
@@ -242,6 +242,12 @@ def test_enumerate_order_six_needs_allow_large(capsys):
         (("verify", "--max-order", "-3"), "--max-order"),
         (("enumerate", "--order", "3", "--jobs", "0"), "--jobs"),
         (("classify", "--order", "3", "--budget", "-1"), "--budget"),
+        # Integers are written in the ASCII digits 0-9 only.
+        (("enumerate", "--order", "٣", "--count-only"), "--order"),
+        (("classify", "--order", "1_0"), "--order"),
+        (("verify", "--max-order", "٢"), "--max-order"),
+        (("enumerate", "--order", "3", "--jobs", "1_0"), "--jobs"),
+        (("enumerate", "--order", "3", "--count-only", "--partition", "١/١"), "--partition"),
     ],
 )
 def test_bad_numeric_argument_exits_two(capsys, argv, flag):
@@ -348,6 +354,12 @@ def test_text_output_is_deterministic(capsys):
         assert code == 0
         runs.append((out, err))
     assert runs[0] == runs[1]
+
+
+@pytest.mark.parametrize("raw,jobs", [("3", 3), ("1_0", 1), ("٢", 1)])
+def test_env_var_jobs_takes_ascii_digits_only(monkeypatch, raw, jobs):
+    monkeypatch.setenv("AGKIT_JOBS", raw)
+    assert cli._default_jobs() == jobs
 
 
 def test_env_var_sets_default_jobs(capsys, monkeypatch):

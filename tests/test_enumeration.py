@@ -118,6 +118,21 @@ def test_partition_slices_cover_exactly():
     assert sorted(m.table for m in got) == [m.table for m in full]
 
 
+def test_partition_slice_is_one_first_row():
+    # With k = n**n slices, slice i holds exactly the classes whose first
+    # row has lexicographic rank i - 1 among the n**n possible rows.
+    n = 3
+
+    def rank(t):
+        return sum(v * n ** (n - 1 - j) for j, v in enumerate(t[:n]))
+
+    for i in range(1, n ** n + 1):
+        got: list = []
+        enumerate_ag(n, got.append, partition=(i, n ** n))
+        want = tuple(t for t in brute_enumeration(n) if rank(t) == i - 1)
+        assert tuple(m.table for m in got) == want, i
+
+
 def test_partition_validation():
     with pytest.raises(ValueError):
         enumerate_ag(3, partition=(0, 3))
@@ -134,6 +149,18 @@ def test_budget_exceeded_sequential():
     assert exc.order == 5
     assert exc.partitions_done <= exc.partitions_total
     assert exc.partial_count >= 0
+
+
+def test_budget_zero_stops_in_the_first_unit():
+    # Listing the n**n units takes no search, so no budget runs out before
+    # the first unit starts, and a census always carries partial counts.
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_ag(5, budget=0)
+    assert (info.value.partitions_done, info.value.partitions_total) == (0, 3125)
+    with pytest.raises(BudgetExceeded) as info:
+        classify_census(5, budget=0)
+    assert (info.value.partitions_done, info.value.partitions_total) == (0, 3125)
+    assert list(info.value.partial_counts) == list(ROW_ORDER)
 
 
 def test_budget_exceeded_parallel():
