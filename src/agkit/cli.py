@@ -58,6 +58,12 @@ def _ascii_int(raw: str) -> int | None:
     return int(raw) if raw.isascii() and raw.isdigit() else None
 
 
+def _ascii_seconds(raw: str) -> float | None:
+    """As _ascii_int, with at most one '.'; float() also takes 1e3 and inf."""
+    raw = raw.strip()
+    return float(raw) if re.fullmatch(r"[0-9]+\.?[0-9]*|\.[0-9]+", raw) else None
+
+
 def _default_jobs() -> int:
     jobs = _ascii_int(os.environ.get("AGKIT_JOBS", "1"))
     return max(1, jobs) if jobs is not None else 1
@@ -70,22 +76,23 @@ def _require_allow_large(order: int, allow_large: bool) -> None:
         )
 
 
-# (flag, namespace attribute, least accepted value) of the numeric options.
-# argparse passes the integer ones on as text; the defaults are numbers.
+# (flag, namespace attribute, converter, least accepted value) of the
+# numeric options.  argparse passes them on as text; the defaults are numbers.
 _LOWER_BOUNDS = (
-    ("--order", "order", 1),
-    ("--max-order", "max_order", 1),
-    ("--jobs", "jobs", 1),
-    ("--budget", "budget", 0),
+    ("--order", "order", _ascii_int, 1),
+    ("--max-order", "max_order", _ascii_int, 1),
+    ("--jobs", "jobs", _ascii_int, 1),
+    ("--budget", "budget", _ascii_seconds, 0),
 )
+_BUDGET_HELP = "wall-clock seconds for the whole command (digits 0-9, at most one '.')"
 
 
 def _check_bounds(args: argparse.Namespace) -> None:
-    """Convert the integer options from text and check every bound."""
-    for flag, dest, low in _LOWER_BOUNDS:
+    """Convert the numeric options from text and check every bound."""
+    for flag, dest, convert, low in _LOWER_BOUNDS:
         value = getattr(args, dest, None)
         if isinstance(value, str):
-            raw, value = value, _ascii_int(value)
+            raw, value = value, convert(value)
             if value is None:
                 raise ValueError(f"{flag} {raw!r} is not written in the digits 0-9")
             setattr(args, dest, value)
@@ -234,9 +241,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             partition=partition,
             progress=progress if args.progress else None,
         )
-    except BudgetExceeded as exc:
-        print(f"partial: {exc}", file=sys.stderr)
-        return 3
     finally:
         if close_out:
             out_stream.close()
@@ -378,7 +382,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", help="write magma lines to this file instead of stdout")
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--jobs", default=_default_jobs())
-    p.add_argument("--budget", type=float, help="wall-clock seconds before stopping")
+    p.add_argument("--budget", help=_BUDGET_HELP)
     p.add_argument("--partition", help="i/k: run the i-th of k round-robin slices")
     p.add_argument("--progress", action="store_true")
     p.set_defaults(func=_cmd_enumerate)
@@ -386,7 +390,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("classify", help="census of one order against the reference table")
     p.add_argument("--order", required=True)
     p.add_argument("--jobs", default=_default_jobs())
-    p.add_argument("--budget", type=float)
+    p.add_argument("--budget", help=_BUDGET_HELP)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_classify)
@@ -394,7 +398,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("verify", help="verify the theorem and counterexample claims")
     p.add_argument("--claims", help="comma-separated claim ids (default: all)")
     p.add_argument("--max-order", default=4)
-    p.add_argument("--budget", type=float)
+    p.add_argument("--budget", help=_BUDGET_HELP + ", checked before each claim")
     p.add_argument("--json", action="store_true")
     p.set_defaults(func=_cmd_verify)
 
@@ -407,7 +411,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_bounds(args)
         return args.func(args)
-    except ClaimBudgetError as exc:
+    except (BudgetExceeded, ClaimBudgetError) as exc:
         print(f"partial: {exc}", file=sys.stderr)
         return 3
     except (ParseError, UnknownPropertyError, UnknownClaimError) as exc:

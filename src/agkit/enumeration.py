@@ -11,9 +11,9 @@ and resumable runs; totals are deterministic for any job count.
 
 from __future__ import annotations
 
+import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures import TimeoutError as _FutureTimeout
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Optional
@@ -65,10 +65,11 @@ class BudgetExceeded(RuntimeError):
     """Wall-clock budget ran out; partial progress is attached.
 
     A partition is one work unit: one of the n**n first table rows, in
-    lexicographic order.  partial_count includes classes from the
-    interrupted partition, so a resume that re-runs partitions from
+    lexicographic order.  The run ends at the first interrupted partition
+    in that order, for any mode and job count.  partial_count includes the
+    classes it had emitted, so a resume that re-runs partitions from
     partitions_done onward re-counts that partition from scratch.  In
-    census mode partial_counts holds the census rows counted so far.
+    census mode partial_counts holds the census rows of the same classes.
     """
 
     def __init__(
@@ -91,7 +92,7 @@ class BudgetExceeded(RuntimeError):
 
 
 class _DeadlineHit(Exception):
-    pass
+    """Raised by _search with the number of classes it had emitted."""
 
 
 def _search(
@@ -224,8 +225,8 @@ def _search(
     def dfs(idx: int, alive, filter_row: int) -> None:
         nonlocal count, nodes
         nodes += 1
-        if deadline is not None and (nodes & 2047) == 0 and time.monotonic() > deadline:
-            raise _DeadlineHit()
+        if deadline is not None and (nodes & 2047) == 1 and time.monotonic() >= deadline:
+            raise _DeadlineHit(count)
         while idx < size and T[idx] >= 0:
             idx += 1
         if idx == size:
@@ -238,8 +239,6 @@ def _search(
             return
         row = idx // n
         if row >= filter_row:
-            if deadline is not None and time.monotonic() > deadline:
-                raise _DeadlineHit()
             alive = filter_perms(alive)
             if alive is None:
                 return
@@ -267,7 +266,7 @@ def _work_unit(args) -> tuple:
     n, first_row, mode, wall_deadline = args
     deadline = None
     if wall_deadline is not None:
-        deadline = time.monotonic() + max(0.0, wall_deadline - time.time())
+        deadline = time.monotonic() + (wall_deadline - time.time())
 
     tables: list[tuple[int, ...]] = []
     acc = [0, 0, 0, 0, 0]  # total, ca, associative, ca∧assoc, assoc∧¬comm∧ca
@@ -296,9 +295,8 @@ def _work_unit(args) -> tuple:
     payload = tables if mode == "tables" else acc if mode == "census" else None
     try:
         cnt = _search(n, emit, first_row, deadline=deadline)
-    except _DeadlineHit:
-        done = acc[0] if mode == "census" else len(tables)
-        return ("partial", done, payload)
+    except _DeadlineHit as hit:
+        return ("partial", hit.args[0], payload)
     return ("ok", cnt, payload)
 
 
@@ -330,13 +328,11 @@ def _run(
     total = 0
     agg = [0, 0, 0, 0, 0]
     done = 0
-    pool = None
+    # A fork pool starts every worker it may use at the first submit.
+    workers = min(jobs, len(units), os.cpu_count() or 1)
+    pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        if jobs > 1 and len(units) > 1:
-            pool = ProcessPoolExecutor(max_workers=jobs)
-            results = pool.map(_work_unit, units, timeout=budget)
-        else:
-            results = map(_work_unit, units)
+        results = pool.map(_work_unit, units) if pool else map(_work_unit, units)
         for status, cnt, payload in results:
             total += cnt
             if mode == "census":
@@ -353,11 +349,6 @@ def _run(
             done += 1
             if progress is not None:
                 progress(done, len(units), total)
-    except _FutureTimeout:
-        raise BudgetExceeded(
-            n, total, done, len(units),
-            _census_counts(agg) if mode == "census" else None,
-        ) from None
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
@@ -375,14 +366,15 @@ def enumerate_ag(
 ) -> int:
     """Enumerate the isomorphism classes of AG-groupoids of order n.
 
-    sink, when given, receives each class exactly once as a canonical
-    Magma, in a deterministic order independent of the job count.  budget
-    is wall-clock seconds; on overrun BudgetExceeded carries the partial
-    count.  The search runs in n**n work units, one per first table row, in
-    lexicographic order of that row.  partition=(i, k) restricts the run to
-    the i-th of k round-robin slices of the units (1-based): the first rows
-    of lexicographic rank i-1, i-1+k, i-1+2k, ...; slice counts sum to the
-    full count.
+    sink, when given, receives each class exactly once as a canonical Magma,
+    in a deterministic order independent of the job count (capped at the CPU
+    count).  budget is one wall-clock deadline in seconds for the whole run;
+    on overrun BudgetExceeded carries the partial count, the classes the
+    sink has received.  The search runs in n**n work units, one per first
+    table row, in lexicographic order of that row.  partition=(i, k)
+    restricts the run to the i-th of k round-robin slices of the units
+    (1-based): the first rows of lexicographic rank i-1, i-1+k, i-1+2k, ...;
+    slice counts sum to the full count.
     """
     mode = "tables" if sink is not None else "count"
     total, _ = _run(

@@ -15,6 +15,7 @@ so a finite counterexample would surface here.
 
 from __future__ import annotations
 
+import time
 from dataclasses import dataclass
 from itertools import product
 from typing import Callable, Sequence
@@ -155,12 +156,11 @@ class UnknownClaimError(ValueError):
 
 
 class ClaimBudgetError(RuntimeError):
-    """A claim's universe could not be enumerated within the budget."""
+    """The budget ran out before or during the claim claim_id."""
 
-    def __init__(self, claim_id: str, cause: BudgetExceeded):
-        super().__init__(f"claim {claim_id}: {cause}")
+    def __init__(self, claim_id: str, detail: str):
+        super().__init__(f"claim {claim_id}: {detail}")
         self.claim_id = claim_id
-        self.cause = cause
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -424,14 +424,12 @@ _ALL_MAGMAS_CACHE: dict[int, tuple[Magma, ...]] = {}
 ALL_MAGMA_ORDER_CAP = 3
 
 
-def _ag_universe(n: int, budget: float | None, claim_id: str) -> tuple[Magma, ...]:
+def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
     got = _UNIVERSE_CACHE.get(n)
     if got is None:
         out: list[Magma] = []
-        try:
-            enumerate_ag(n, out.append, budget=budget)
-        except BudgetExceeded as exc:
-            raise ClaimBudgetError(claim_id, exc) from None
+        budget = None if deadline is None else deadline - time.monotonic()
+        enumerate_ag(n, out.append, budget=budget)
         got = _UNIVERSE_CACHE[n] = tuple(out)
     return got
 
@@ -467,12 +465,12 @@ class _Facts:
 
 
 def _implication_pool(
-    part: Implication, max_order: int, budget: float | None,
-    claim_id: str, fixture_pool: Sequence[Magma], facts: _Facts,
+    part: Implication, max_order: int, deadline: float | None,
+    fixture_pool: Sequence[Magma], facts: _Facts,
 ) -> tuple[list[Magma], str]:
     pool: list[Magma] = []
     for k in range(1, max_order + 1):
-        pool.extend(_ag_universe(k, budget, claim_id))
+        pool.extend(_ag_universe(k, deadline))
     scope = f"AG classes of order <= {max_order} plus bundled tables"
     if part.universe == "all":
         cap = min(ALL_MAGMA_ORDER_CAP, max_order)
@@ -493,7 +491,7 @@ def _implication_pool(
 
 
 def _run_implication(
-    claim: Claim, max_order: int, budget: float | None,
+    claim: Claim, max_order: int, deadline: float | None,
     fixture_pool: Sequence[Magma], facts: _Facts,
 ) -> ClaimResult:
     checked = 0
@@ -502,7 +500,7 @@ def _run_implication(
         pre = parse_property_expr(part.premise)
         con = parse_property_expr(part.conclusion)
         pool, scope = _implication_pool(
-            part, max_order, budget, claim.id, fixture_pool, facts
+            part, max_order, deadline, fixture_pool, facts
         )
         for m in pool:
             look = facts.lookup(m)
@@ -521,7 +519,7 @@ def _run_implication(
 
 def _witness_part_report(
     part: WitnessSpec, fixmap: dict[str, Magma], max_order: int,
-    budget: float | None, claim_id: str, facts: _Facts,
+    deadline: float | None, facts: _Facts,
 ) -> dict:
     m = fixmap[part.fixture]
     expr = parse_property_expr(part.expr)
@@ -543,7 +541,7 @@ def _witness_part_report(
         "universe_matches": None,
     }
     if m.order <= max_order:
-        pool = _ag_universe(m.order, budget, claim_id)
+        pool = _ag_universe(m.order, deadline)
         report["universe_matches"] = sum(
             1 for u in pool if facts.satisfies(u, expr)
         )
@@ -551,11 +549,11 @@ def _witness_part_report(
 
 
 def _run_witness(
-    claim: Claim, max_order: int, budget: float | None,
+    claim: Claim, max_order: int, deadline: float | None,
     fixmap: dict[str, Magma], facts: _Facts,
 ) -> ClaimResult:
     parts = [
-        _witness_part_report(p, fixmap, max_order, budget, claim.id, facts)
+        _witness_part_report(p, fixmap, max_order, deadline, facts)
         for p in claim.parts
     ]
     ok = all(
@@ -580,9 +578,9 @@ def verify_claims(
 ) -> list[ClaimResult]:
     """Check claims over universes enumerated up to max_order.
 
-    ids selects a subset (registry order is kept); budget bounds each
-    universe enumeration in wall-clock seconds and surfaces as
-    ClaimBudgetError naming the claim that needed the universe.
+    ids selects a subset (registry order is kept); budget is one wall-clock
+    deadline in seconds for the call, checked before each claim and bounding
+    each universe enumeration; ClaimBudgetError names the claim it stopped.
     """
     if ids is not None:
         unknown = [i for i in ids if i not in _REGISTRY]
@@ -597,12 +595,16 @@ def verify_claims(
     fixmap = fixtures()
     fixture_pool = list(fixmap.values())
     facts = _Facts()
+    deadline = None if budget is None else time.monotonic() + budget
     results = []
-    for claim in selected:
-        if claim.kind == "witness-exists":
-            results.append(_run_witness(claim, max_order, budget, fixmap, facts))
-        else:
-            results.append(
-                _run_implication(claim, max_order, budget, fixture_pool, facts)
-            )
+    for k, claim in enumerate(selected):
+        if deadline is not None and time.monotonic() >= deadline:
+            raise ClaimBudgetError(claim.id, f"budget exceeded after {k} of {len(selected)} claims")
+        try:
+            if claim.kind == "witness-exists":
+                results.append(_run_witness(claim, max_order, deadline, fixmap, facts))
+            else:
+                results.append(_run_implication(claim, max_order, deadline, fixture_pool, facts))
+        except BudgetExceeded as exc:
+            raise ClaimBudgetError(claim.id, str(exc)) from None
     return results

@@ -1,6 +1,8 @@
 """End-to-end command-line behavior via in-process invocation."""
 
+import ast
 import json
+from pathlib import Path
 
 import pytest
 
@@ -248,6 +250,11 @@ def test_enumerate_order_six_needs_allow_large(capsys):
         (("verify", "--max-order", "٢"), "--max-order"),
         (("enumerate", "--order", "3", "--jobs", "1_0"), "--jobs"),
         (("enumerate", "--order", "3", "--count-only", "--partition", "١/١"), "--partition"),
+        # Seconds are ASCII digits with at most one '.'.
+        (("enumerate", "--order", "3", "--count-only", "--budget", "١"), "--budget"),
+        (("classify", "--order", "3", "--budget", "1_0"), "--budget"),
+        (("verify", "--max-order", "3", "--budget", "inf"), "--budget"),
+        (("enumerate", "--order", "3", "--count-only", "--budget", "1e3"), "--budget"),
     ],
 )
 def test_bad_numeric_argument_exits_two(capsys, argv, flag):
@@ -255,6 +262,14 @@ def test_bad_numeric_argument_exits_two(capsys, argv, flag):
     assert code == 2
     assert out == ""
     assert err.startswith("error: ") and flag in err
+
+
+def test_every_number_goes_through_check_bounds():
+    # argparse's type= would accept what int() and float() accept.
+    tree = ast.parse(Path(cli.__file__).read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Call) and getattr(node.func, "attr", None) == "add_argument":
+            assert "type" not in {kw.arg for kw in node.keywords}, ast.unparse(node)
 
 
 def test_enumerate_progress(capsys):
@@ -324,6 +339,13 @@ def test_verify_external_premise_tagged(capsys):
     code, out, _ = run(capsys, "verify", "--claims", "C33", "--max-order", "3")
     assert code == 0
     assert "[external premise]" in out
+
+
+def test_verify_budget_zero_exits_three(capsys):
+    code, out, err = run(capsys, "verify", "--max-order", "3", "--budget", "0")
+    assert code == 3
+    assert out == ""
+    assert err.startswith("partial: claim C1:")
 
 
 def test_verify_unknown_claim(capsys):

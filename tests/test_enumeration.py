@@ -1,6 +1,8 @@
 """Enumeration counts, determinism, partitions, budgets, and the census."""
 
 import hashlib
+import os
+import time
 from functools import lru_cache
 
 import pytest
@@ -166,6 +168,62 @@ def test_budget_zero_stops_in_the_first_unit():
 def test_budget_exceeded_parallel():
     with pytest.raises(BudgetExceeded):
         enumerate_ag(5, jobs=2, budget=0.2)
+
+
+def test_budget_beyond_any_timeout_runs_to_completion():
+    assert enumerate_ag(3, jobs=2, budget=1e10) == 20
+
+
+class _StepClock:
+    """time.monotonic reads 0.0 for its first 3 calls and 1e9 after that."""
+
+    time = staticmethod(time.time)
+
+    def __init__(self):
+        self.calls = 0
+
+    def monotonic(self):
+        self.calls += 1
+        return 0.0 if self.calls <= 3 else 1e9
+
+
+def test_partial_count_is_the_same_in_every_mode(monkeypatch):
+    # The deadline passes at the same search node in every mode, so every
+    # mode counts the same classes: those the interrupted unit had emitted.
+    partial = {}
+    tables = []
+    for mode, run in (
+        ("count", lambda: enumerate_ag(5, budget=100)),
+        ("tables", lambda: enumerate_ag(5, tables.append, budget=100)),
+        ("census", lambda: classify_census(5, budget=100)),
+    ):
+        monkeypatch.setattr(enumeration, "time", _StepClock())
+        with pytest.raises(BudgetExceeded) as info:
+            run()
+        partial[mode] = info.value
+    counts = {mode: exc.partial_count for mode, exc in partial.items()}
+    assert len(set(counts.values())) == 1 and counts["count"] > 0, counts
+    assert len(tables) == counts["count"]
+    assert partial["census"].partial_counts["AG"] == counts["count"]
+
+
+def test_worker_processes_are_capped(monkeypatch):
+    # A fork pool starts every worker it is given; never run this for real.
+    asked = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            asked.append(max_workers)
+
+        def map(self, fn, items, timeout=None):
+            return map(fn, items)
+
+        def shutdown(self, wait=True, cancel_futures=False):
+            pass
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", RecordingPool)
+    assert enumerate_ag(3, jobs=10**6) == 20
+    assert all(w <= min(27, os.cpu_count() or 1) for w in asked), asked
 
 
 def test_progress_callback_reports_partitions():

@@ -8,6 +8,7 @@ from agkit import (
     CLAIM_IDS,
     CLAIMS,
     FIXTURE_ASSERTIONS,
+    ClaimBudgetError,
     UnknownClaimError,
     check_property,
     classify,
@@ -90,6 +91,13 @@ def test_all_claims_ok_at_order_four():
 def test_ids_filter_and_order():
     results = verify_claims(max_order=3, ids=["C9", "C1", "C16"])
     assert [r.id for r in results] == ["C1", "C9", "C16"]
+
+
+def test_budget_bounds_a_run_with_cached_universes():
+    verify_claims(max_order=3)
+    with pytest.raises(ClaimBudgetError) as info:
+        verify_claims(max_order=3, budget=0)
+    assert info.value.claim_id == "C1"
 
 
 def test_unknown_claim_id():
