@@ -30,6 +30,7 @@ from .enumeration import (
 )
 from .iso import canonical_form
 from .props import (
+    AtomColumns,
     UnknownPropertyError,
     check_property,
     classify,
@@ -112,10 +113,12 @@ def _cmd_check(args: argparse.Namespace) -> int:
         props = [p.strip() for p in args.props.split(",") if p.strip()]
     expr = parse_property_expr(args.expr) if args.expr else None
     predicate_mode = bool(props) or expr is not None
+    if expr is not None:
+        holding = set(AtomColumns(magmas).select(expr, range(len(magmas))))
 
     records = []
     all_true = True
-    for m in magmas:
+    for k, m in enumerate(magmas):
         rec: dict = {"magma": render_magma(m, "compact"), "props": {}, "witnesses": {}}
         if predicate_mode:
             for name in props:
@@ -126,7 +129,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                     if res.witness is not None:
                         rec["witnesses"][name] = list(res.witness)
             if expr is not None:
-                value = magma_satisfies(m, expr)
+                value = k in holding
                 rec["expr"] = {"text": args.expr, "holds": value}
                 if not value:
                     all_true = False
@@ -321,7 +324,11 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     ids = None
     if args.claims:
         ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-    results = verify_claims(args.max_order, ids, budget=args.budget)
+    partial = None
+    try:
+        results = verify_claims(args.max_order, ids, budget=args.budget)
+    except ClaimBudgetError as exc:
+        results, partial = exc.results, exc
     if args.json:
         payload = [
             {
@@ -340,8 +347,12 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         for r in results:
             tag = " [external premise]" if r.external_premise else ""
             print(f"{r.id} {r.kind}: {r.status}{tag}  {r.statement}")
-        ok = sum(1 for r in results if r.ok)
-        print(f"{ok}/{len(results)} claims ok (max_order={args.max_order})")
+        if partial is None:
+            ok = sum(1 for r in results if r.ok)
+            print(f"{ok}/{len(results)} claims ok (max_order={args.max_order})")
+    if partial is not None:
+        print(f"partial: {partial}", file=sys.stderr)
+        return 3
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -411,7 +422,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_bounds(args)
         return args.func(args)
-    except (BudgetExceeded, ClaimBudgetError) as exc:
+    except BudgetExceeded as exc:
         print(f"partial: {exc}", file=sys.stderr)
         return 3
     except (ParseError, UnknownPropertyError, UnknownClaimError) as exc:

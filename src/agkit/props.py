@@ -8,17 +8,18 @@ order and returns the first falsifying tuple, or None when the law
 holds, so witnesses are deterministic.  check_property/classify wrap the
 catalog checkers; the raw checker registry CHECKERS, which holds one
 checker per expression atom, is shared with the enumeration census and
-the claim runners.  Property expressions evaluate the operands of each
-& and | cheapest first, by the ATOM_COST of their atoms (the number of
-variables of a law), so a one-variable atom can rule a table out before
-a four-variable law scans it.
+the claim runners.  Property expressions are evaluated over a pool of
+magmas at a time (AtomColumns), one atom column per step; the operands
+of each & and | run cheapest first, by the ATOM_COST of their atoms (the
+number of variables of a law), so a one-variable atom can rule a table
+out before a four-variable law scans it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Iterable, Optional
 
 from .core import Magma
 
@@ -363,26 +364,12 @@ class PropertyExpr:
 
     ast nodes are ("atom", name), ("not", x), ("and", operands) and
     ("or", operands), where operands is a tuple of at least two nodes in
-    stable ATOM_COST order.  evaluate() resolves atoms through a lookup
-    callable, short-circuiting left to right.
+    stable ATOM_COST order.  AtomColumns evaluates it.
     """
 
     text: str
     ast: tuple
     names: frozenset[str]
-
-    def evaluate(self, lookup: Callable[[str], bool]) -> bool:
-        def ev(node: tuple) -> bool:
-            op = node[0]
-            if op == "atom":
-                return lookup(node[1])
-            if op == "not":
-                return not ev(node[1])
-            if op == "and":
-                return all(map(ev, node[1]))
-            return any(map(ev, node[1]))
-
-        return ev(self.ast)
 
 
 def _node_cost(node: tuple) -> int:
@@ -462,30 +449,63 @@ def parse_property_expr(text: str) -> PropertyExpr:
     return PropertyExpr(text, ast, frozenset(names))
 
 
-def atom_value(m: Magma, name: str) -> bool:
-    """Evaluate one expression atom on a magma."""
-    return CHECKERS[name](m.order, m.table) is None
+class AtomColumns:
+    """Expression values over a pool of magmas, one atom column at a time.
 
-
-class AtomMemo(dict):
-    """Atom values of one magma, each computed on its first lookup.
-
-    Slotted, so a memo kept per magma across a large pool costs no
-    instance __dict__.
+    Each & hands an operand only the survivors of the operands before it,
+    each | only the indices still false, and each ! keeps the indices its
+    operand dropped, so an atom runs on exactly the magmas that per-magma
+    short-circuit evaluation runs it on, and at most once per index: its
+    values sit in one bytearray over the pool (0 unknown, 1 false, 2 true).
     """
 
-    __slots__ = ("magma",)
+    def __init__(self, magmas: Iterable[Magma] = ()) -> None:
+        self.magmas: list[Magma] = list(magmas)
+        self._columns: dict[str, bytearray] = {}
 
-    def __init__(self, m: Magma) -> None:
-        super().__init__()
-        self.magma = m
+    def extend(self, magmas: Iterable[Magma]) -> range:
+        """Append magmas to the pool; return their indices."""
+        start = len(self.magmas)
+        self.magmas.extend(magmas)
+        return range(start, len(self.magmas))
 
-    def __missing__(self, name: str) -> bool:
-        value = self[name] = atom_value(self.magma, name)
-        return value
+    def select(self, expr: PropertyExpr, indices: Iterable[int]) -> list[int]:
+        """The indices, in the order given, whose magmas satisfy expr."""
+        return self._select(expr.ast, list(indices))
+
+    def _select(self, node: tuple, indices: list[int]) -> list[int]:
+        op = node[0]
+        if op == "atom":
+            return self._atom(node[1], indices)
+        if op == "not":
+            kept = set(self._select(node[1], indices))
+            return [i for i in indices if i not in kept]
+        if op == "and":
+            for operand in node[1]:
+                indices = self._select(operand, indices)
+            return indices
+        hits: set[int] = set()
+        rest = indices
+        for operand in node[1]:
+            hits.update(self._select(operand, rest))
+            rest = [i for i in rest if i not in hits]
+        return [i for i in indices if i in hits]
+
+    def _atom(self, name: str, indices: list[int]) -> list[int]:
+        check, magmas, out = CHECKERS[name], self.magmas, []
+        column = self._columns.setdefault(name, bytearray())
+        column.extend(bytes(len(magmas) - len(column)))
+        for i in indices:
+            value = column[i]
+            if not value:
+                m = magmas[i]
+                value = column[i] = 2 if check(m.order, m.table) is None else 1
+            if value == 2:
+                out.append(i)
+        return out
 
 
 def magma_satisfies(m: Magma, expr: PropertyExpr) -> bool:
-    """Evaluate a property expression on a magma, computing each atom lazily
-    and at most once."""
-    return expr.evaluate(AtomMemo(m).__getitem__)
+    """Whether m satisfies expr: a one-magma AtomColumns.select, so each
+    atom runs at most once and only where short-circuiting reaches it."""
+    return bool(AtomColumns((m,)).select(expr, (0,)))

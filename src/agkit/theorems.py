@@ -10,7 +10,9 @@ the statement, not a runner.  A witness claim reproduces a known
 separating example.  Claims whose proofs lean on results about T- or
 star-class structure imported from outside this toolkit's scope are
 tagged external_premise; they are still checked as stated implications,
-so a finite counterexample would surface here.
+so a finite counterexample would surface here.  One verify_claims call
+appends every magma it scans to one pool and evaluates each expression
+over a whole scope at once, so no atom runs twice on one magma.
 """
 
 from __future__ import annotations
@@ -18,11 +20,11 @@ from __future__ import annotations
 import time
 from dataclasses import dataclass
 from itertools import product
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .core import Magma, parse_magma, render_magma
 from .enumeration import BudgetExceeded, enumerate_ag
-from .props import CHECKERS, AtomMemo, PropertyExpr, parse_property_expr
+from .props import CHECKERS, AtomColumns, parse_property_expr
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
 # Distinct names may carry the same table; they play distinct roles.
@@ -156,11 +158,13 @@ class UnknownClaimError(ValueError):
 
 
 class ClaimBudgetError(RuntimeError):
-    """The budget ran out before or during the claim claim_id."""
+    """The budget ran out before or during the claim claim_id; results
+    holds the ClaimResults of the claims finished before it."""
 
-    def __init__(self, claim_id: str, detail: str):
+    def __init__(self, claim_id: str, detail: str, results: Sequence = ()):
         super().__init__(f"claim {claim_id}: {detail}")
         self.claim_id = claim_id
+        self.results = list(results)
 
 
 CLAIMS: tuple[Claim, ...] = (
@@ -443,74 +447,65 @@ def _all_magmas(n: int) -> tuple[Magma, ...]:
     return got
 
 
-class _Facts:
-    """Memoized property-atom evaluation across claims.
+class _Pool(AtomColumns):
+    """The magmas one verify_claims call scans, with their atom columns.
 
-    Keyed by id(m), so no Magma is hashed: the pools hand the same magma
-    objects to every claim.  Each entry holds its magma, which keeps the id
-    from being reused while it is a key.
+    Each source (the AG classes of one order, the all-magma tables of one
+    order, the bundled tables) is appended once, when a claim first asks
+    for it, so an enumeration runs under that claim's deadline.
     """
 
-    def __init__(self) -> None:
-        self._by_id: dict[int, AtomMemo] = {}
+    def __init__(self, fixmap: dict[str, Magma]) -> None:
+        super().__init__()
+        self.fixmap = fixmap
+        self._sources: dict[tuple[str, int], range] = {}
 
-    def lookup(self, m: Magma) -> Callable[[str], bool]:
-        atoms = self._by_id.get(id(m))
-        if atoms is None:
-            atoms = self._by_id[id(m)] = AtomMemo(m)
-        return atoms.__getitem__
+    def source(self, kind: str, n: int = 0, deadline: float | None = None) -> range:
+        """The indices of source kind ("ag", "all" or "fixtures") at order n."""
+        got = self._sources.get((kind, n))
+        if got is None:
+            magmas = (_ag_universe(n, deadline) if kind == "ag" else
+                      _all_magmas(n) if kind == "all" else self.fixmap.values())
+            got = self._sources[kind, n] = self.extend(magmas)
+        return got
 
-    def satisfies(self, m: Magma, expr: PropertyExpr) -> bool:
-        return expr.evaluate(self.lookup(m))
 
-
-def _implication_pool(
-    part: Implication, max_order: int, deadline: float | None,
-    fixture_pool: Sequence[Magma], facts: _Facts,
-) -> tuple[list[Magma], str]:
-    pool: list[Magma] = []
-    for k in range(1, max_order + 1):
-        pool.extend(_ag_universe(k, deadline))
+def _implication_scope(
+    part: Implication, max_order: int, deadline: float | None, pool: _Pool,
+) -> tuple[list[int], str]:
+    ranges = [pool.source("ag", k, deadline) for k in range(1, max_order + 1)]
     scope = f"AG classes of order <= {max_order} plus bundled tables"
     if part.universe == "all":
         cap = min(ALL_MAGMA_ORDER_CAP, max_order)
-        extra: list[Magma] = []
-        for k in range(1, cap + 1):
-            extra.extend(_all_magmas(k))
-        pool = extra + pool
+        ranges[:0] = [pool.source("all", k) for k in range(1, cap + 1)]
         scope = (
             f"all magmas of order <= {cap}, plus AG classes of order <= "
             f"{max_order} and bundled tables"
         )
-    pool.extend(fixture_pool)
+    indices = [i for r in ranges + [pool.source("fixtures")] for i in r]
     if part.within is not None:
-        within = parse_property_expr(part.within)
-        pool = [m for m in pool if facts.satisfies(m, within)]
+        indices = pool.select(parse_property_expr(part.within), indices)
         scope = f"{part.within} magmas among {scope}"
-    return pool, scope
+    return indices, scope
 
 
 def _run_implication(
-    claim: Claim, max_order: int, deadline: float | None,
-    fixture_pool: Sequence[Magma], facts: _Facts,
+    claim: Claim, max_order: int, deadline: float | None, pool: _Pool,
 ) -> ClaimResult:
     checked = 0
     scope = ""
     for k, part in enumerate(claim.parts):
-        pre = parse_property_expr(part.premise)
-        con = parse_property_expr(part.conclusion)
-        pool, scope = _implication_pool(
-            part, max_order, deadline, fixture_pool, facts
-        )
-        for m in pool:
-            look = facts.lookup(m)
-            if pre.evaluate(look) and not con.evaluate(look):
-                return ClaimResult(
-                    claim.id, claim.kind, "counterexample", scope,
-                    claim.external_premise, claim.statement,
-                    {"part": k, "magma": render_magma(m, "compact")},
-                )
-        checked += len(pool)
+        indices, scope = _implication_scope(part, max_order, deadline, pool)
+        hits = pool.select(parse_property_expr(part.premise), indices)
+        holds = set(pool.select(parse_property_expr(part.conclusion), hits))
+        bad = next((i for i in hits if i not in holds), None)
+        if bad is not None:
+            return ClaimResult(
+                claim.id, claim.kind, "counterexample", scope,
+                claim.external_premise, claim.statement,
+                {"part": k, "magma": render_magma(pool.magmas[bad], "compact")},
+            )
+        checked += len(indices)
     return ClaimResult(
         claim.id, claim.kind, "verified", scope, claim.external_premise,
         claim.statement, {"scope_size": checked},
@@ -518,14 +513,16 @@ def _run_implication(
 
 
 def _witness_part_report(
-    part: WitnessSpec, fixmap: dict[str, Magma], max_order: int,
-    deadline: float | None, facts: _Facts,
+    part: WitnessSpec, max_order: int, deadline: float | None, pool: _Pool,
 ) -> dict:
-    m = fixmap[part.fixture]
+    i = pool.source("fixtures")[list(pool.fixmap).index(part.fixture)]
+    m = pool.magmas[i]
     expr = parse_property_expr(part.expr)
-    satisfied = facts.satisfies(m, expr)
-    look = facts.lookup(m)
-    atoms = {name: look(name) for name in sorted(expr.names)}
+    satisfied = bool(pool.select(expr, [i]))
+    atoms = {
+        name: bool(pool.select(parse_property_expr(name), [i]))
+        for name in sorted(expr.names)
+    }
     falsifying = {}
     for name, value in atoms.items():
         # Existential atoms fail with an empty witness; skip those.
@@ -541,21 +538,15 @@ def _witness_part_report(
         "universe_matches": None,
     }
     if m.order <= max_order:
-        pool = _ag_universe(m.order, deadline)
-        report["universe_matches"] = sum(
-            1 for u in pool if facts.satisfies(u, expr)
-        )
+        universe = pool.source("ag", m.order, deadline)
+        report["universe_matches"] = len(pool.select(expr, universe))
     return report
 
 
 def _run_witness(
-    claim: Claim, max_order: int, deadline: float | None,
-    fixmap: dict[str, Magma], facts: _Facts,
+    claim: Claim, max_order: int, deadline: float | None, pool: _Pool,
 ) -> ClaimResult:
-    parts = [
-        _witness_part_report(p, fixmap, max_order, deadline, facts)
-        for p in claim.parts
-    ]
+    parts = [_witness_part_report(p, max_order, deadline, pool) for p in claim.parts]
     ok = all(
         p["satisfied"] and (p["universe_matches"] is None or p["universe_matches"] >= 1)
         for p in parts
@@ -580,7 +571,8 @@ def verify_claims(
 
     ids selects a subset (registry order is kept); budget is one wall-clock
     deadline in seconds for the call, checked before each claim and bounding
-    each universe enumeration; ClaimBudgetError names the claim it stopped.
+    each universe enumeration; ClaimBudgetError names the claim it stopped
+    and carries the results of the claims finished before it.
     """
     if ids is not None:
         unknown = [i for i in ids if i not in _REGISTRY]
@@ -592,19 +584,17 @@ def verify_claims(
         selected = [c for c in CLAIMS if c.id in wanted]
     else:
         selected = list(CLAIMS)
-    fixmap = fixtures()
-    fixture_pool = list(fixmap.values())
-    facts = _Facts()
+    pool = _Pool(fixtures())
     deadline = None if budget is None else time.monotonic() + budget
-    results = []
+    results: list[ClaimResult] = []
     for k, claim in enumerate(selected):
         if deadline is not None and time.monotonic() >= deadline:
-            raise ClaimBudgetError(claim.id, f"budget exceeded after {k} of {len(selected)} claims")
+            raise ClaimBudgetError(
+                claim.id, f"budget exceeded after {k} of {len(selected)} claims", results
+            )
+        run = _run_witness if claim.kind == "witness-exists" else _run_implication
         try:
-            if claim.kind == "witness-exists":
-                results.append(_run_witness(claim, max_order, deadline, fixmap, facts))
-            else:
-                results.append(_run_implication(claim, max_order, deadline, fixture_pool, facts))
+            results.append(run(claim, max_order, deadline, pool))
         except BudgetExceeded as exc:
-            raise ClaimBudgetError(claim.id, str(exc)) from None
+            raise ClaimBudgetError(claim.id, str(exc), results) from None
     return results

@@ -348,6 +348,36 @@ def test_verify_budget_zero_exits_three(capsys):
     assert err.startswith("partial: claim C1:")
 
 
+class _ClaimClock:
+    """time.monotonic reads 0.0 for its first 4 calls and 1e9 after that:
+    with warm universes, the deadline and the checks before C1-C3 pass."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def monotonic(self):
+        self.calls += 1
+        return 0.0 if self.calls <= 4 else 1e9
+
+
+@pytest.mark.parametrize("json_out", [False, True])
+def test_verify_budget_prints_the_finished_claims(capsys, monkeypatch, json_out):
+    from agkit import theorems
+
+    theorems.verify_claims(max_order=3)
+    monkeypatch.setattr(theorems, "time", _ClaimClock())
+    argv = ["verify", "--max-order", "3", "--budget", "100"] + ["--json"] * json_out
+    code, out, err = run(capsys, *argv)
+    assert code == 3
+    assert err == "partial: claim C4: budget exceeded after 3 of 35 claims\n"
+    if json_out:
+        assert [r["id"] for r in json.loads(out)] == ["C1", "C2", "C3"]
+    else:
+        lines = out.splitlines()
+        assert [line.split()[0] for line in lines] == ["C1", "C2", "C3"]
+        assert lines[0].startswith("C1 implication: verified  every cyclic")
+
+
 def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "--claims", "C99")
     assert code == 2

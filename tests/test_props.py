@@ -6,7 +6,7 @@ from itertools import product
 from pathlib import Path
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from agkit import (
     CATALOG,
@@ -19,8 +19,10 @@ from agkit import (
     parse_property_expr,
 )
 
+from agkit import props
 from agkit.props import (
     ATOM_COST,
+    AtomColumns,
     CHECKERS,
     CLAIM_LAWS,
     COMPOSITES,
@@ -188,6 +190,72 @@ def test_expression_negation_is_complement(m):
     expr = parse_property_expr("cyclic_associative")
     neg = parse_property_expr("!cyclic_associative")
     assert magma_satisfies(m, expr) != magma_satisfies(m, neg)
+
+
+_CHEAP_ATOMS = ("band", "commutative", "associative", "ag", "cyclic_associative",
+                "has_left_identity", "three_band")
+
+
+def _junctions(kids):
+    return st.one_of(
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: "(" + " & ".join(xs) + ")"),
+        st.lists(kids, min_size=2, max_size=3).map(lambda xs: "(" + " | ".join(xs) + ")"),
+        kids.map(lambda x: "!" + x),
+    )
+
+
+_exprs = st.recursive(st.sampled_from(_CHEAP_ATOMS), _junctions, max_leaves=8)
+_small_tables = st.integers(2, 3).flatmap(
+    lambda n: st.tuples(st.just(n), st.lists(st.integers(0, n - 1), min_size=n * n, max_size=n * n))
+)
+
+
+def _reference(node, i, value, seen) -> bool:
+    """Per-magma evaluation, left to right, stopping at the first decisive
+    operand; seen collects the (atom, index) pairs it looks up."""
+    op = node[0]
+    if op == "atom":
+        seen.add((node[1], i))
+        return value(node[1], i)
+    if op == "not":
+        return not _reference(node[1], i, value, seen)
+    if op == "and":
+        return all(_reference(x, i, value, seen) for x in node[1])
+    return any(_reference(x, i, value, seen) for x in node[1])
+
+
+@given(
+    st.lists(_small_tables, min_size=1, max_size=5).flatmap(
+        lambda base: st.lists(st.sampled_from(base), min_size=1, max_size=12)
+    ),
+    st.lists(st.tuples(_exprs, st.randoms(use_true_random=False)), min_size=1, max_size=3),
+)
+def test_atom_columns_select_matches_short_circuit_reference(pool, queries):
+    # Repeated tables sit at distinct indices; each gets its own table
+    # object, so a checker call names its index by the table's id.
+    magmas = [Magma(n, list(cells)) for n, cells in pool]
+    index_of = {id(m.table): i for i, m in enumerate(magmas)}
+    calls = []
+    columns = AtomColumns(magmas)
+    want_pairs: set = set()
+
+    def value(name, i):
+        return oracle_check(magmas[i], name)[0]
+
+    with pytest.MonkeyPatch.context() as mp:
+        for name in _CHEAP_ATOMS:
+            def counted(n, t, name=name, checker=CHECKERS[name]):
+                calls.append((name, index_of[id(t)]))
+                return checker(n, t)
+
+            mp.setitem(props.CHECKERS, name, counted)
+        for text, rnd in queries:
+            expr = parse_property_expr(text)
+            indices = rnd.sample(range(len(magmas)), rnd.randint(0, len(magmas)))
+            want = [i for i in indices if _reference(expr.ast, i, value, want_pairs)]
+            assert columns.select(expr, indices) == want, text
+    assert len(calls) == len(set(calls)), calls
+    assert set(calls) == want_pairs
 
 
 def test_atom_cost_is_the_witness_arity():

@@ -1,6 +1,7 @@
 """Fixture corpus integrity and the claim verification engine."""
 
 import hashlib
+from collections import Counter
 
 import pytest
 
@@ -177,11 +178,11 @@ def test_scoped_implication_reports_counterexample(law):
     # The idempotent laws of C22 and C23 fail on some AG-groupoid (the
     # semilattice law first at order 4); a scope narrowed by within must
     # still catch it, in the implication shape.
-    from agkit.theorems import Claim, Implication, _Facts, _run_implication
+    from agkit.theorems import Claim, Implication, _Pool, _run_implication
 
     bogus = Claim("X2", "substructure", f"every AG-groupoid satisfies {law}",
                   (Implication("ag", law, within="ag"),))
-    result = _run_implication(bogus, 4, None, [], _Facts())
+    result = _run_implication(bogus, 4, None, _Pool({}))
     assert result.status == "counterexample"
     assert result.scope == "ag magmas among AG classes of order <= 4 plus bundled tables"
     assert set(result.evidence) == {"part", "magma"}
@@ -192,13 +193,13 @@ def test_scoped_implication_reports_counterexample(law):
 
 def test_implication_counterexample_detection():
     # sanity of the engine itself: a false implication must be caught
-    from agkit.theorems import Claim, Implication, _Facts, _run_implication
+    from agkit.theorems import Claim, Implication, _Pool, _run_implication
 
     bogus = Claim(
         "X1", "implication", "every AG-groupoid is a band",
         (Implication("ag", "band"),),
     )
-    result = _run_implication(bogus, 3, None, [], _Facts())
+    result = _run_implication(bogus, 3, None, _Pool({}))
     assert result.status == "counterexample"
     m = parse_magma(result.evidence["magma"])
     assert check_property(m, "ag").holds
@@ -222,6 +223,59 @@ def test_verify_order_4_json_is_pinned(capsys):
     assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
         "74a2f0f056fc7ae5f61e9dbf324730d18712136cc7181d4655ddc2ca7cf220e9"
     )
+
+
+def test_verify_order_5_json_is_pinned(capsys):
+    from agkit.cli import main
+
+    assert main(["verify", "--max-order", "5", "--json"]) == 0
+    out = capsys.readouterr().out
+    assert hashlib.sha256(out.encode("utf-8")).hexdigest() == (
+        "40b5058674d34021970ae7f0c42e0d356ee25dad8ce9382f3d0d7240c489992a"
+    )
+
+
+def test_verify_checker_calls_are_pinned(monkeypatch):
+    # Calls per atom over the whole order-4 run: any drift in which atoms
+    # run on which magmas (operand order, short-circuiting, memoising)
+    # moves these counts.
+    from agkit import props
+
+    calls = Counter()
+    for name, checker in list(props.CHECKERS.items()):
+        def counted(n, t, name=name, checker=checker):
+            calls[name] += 1
+            return checker(n, t)
+
+        monkeypatch.setitem(props.CHECKERS, name, counted)
+    verify_claims(max_order=4)
+    assert dict(calls) == {
+        "T1": 89,
+        "T3": 27,
+        "ag": 136,
+        "ag_star": 299,
+        "ag_star_star": 378,
+        "associative": 818,
+        "band": 376,
+        "bicommutative": 340,
+        "bol_star": 99,
+        "commutative": 20077,
+        "cyclic_associative": 455,
+        "has_cancellative_element": 376,
+        "has_left_identity": 11,
+        "idempotent_identity_on_cosets": 89,
+        "idempotents_form_semilattice": 89,
+        "left_alternative": 376,
+        "left_commutative": 376,
+        "left_nuclear_square": 98,
+        "middle_nuclear_square": 92,
+        "nuclear_square": 81,
+        "paramedial": 99,
+        "right_alternative": 376,
+        "right_commutative": 148,
+        "right_nuclear_square": 98,
+        "three_band": 376,
+    }
 
 
 def test_four_variable_premises_run_only_on_bands(monkeypatch):
