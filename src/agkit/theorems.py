@@ -586,7 +586,7 @@ def verify_claims(
         selected = list(CLAIMS)
     pool = _Pool(fixtures())
     deadline = None if budget is None else time.monotonic() + budget
-    results: list[ClaimResult] = []
+    results = []
     for k, claim in enumerate(selected):
         if deadline is not None and time.monotonic() >= deadline:
             raise ClaimBudgetError(
