@@ -28,7 +28,6 @@ from .enumeration import (
     enumerate_ag,
 )
 from .iso import (
-    CanonicalKey,
     are_isomorphic,
     canonical_form,
     canonical_key,
@@ -76,7 +75,6 @@ __all__ = [
     "classify",
     "magma_satisfies",
     "parse_property_expr",
-    "CanonicalKey",
     "are_isomorphic",
     "canonical_form",
     "canonical_key",

@@ -11,6 +11,7 @@ exceeded (partial output is labeled).
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import os
 import re
@@ -18,7 +19,7 @@ import sys
 from typing import Sequence
 
 from .catest import ca_test, render_extended_table
-from .core import Magma, ParseError, read_magmas, render_magma
+from .core import Magma, read_magmas, render_magma
 from .enumeration import (
     LARGE_ORDER_THRESHOLD,
     PUBLISHED_INCONSISTENT_CELLS,
@@ -31,13 +32,12 @@ from .enumeration import (
 from .iso import canonical_form
 from .props import (
     AtomColumns,
-    UnknownPropertyError,
     check_property,
     classify,
     magma_satisfies,
     parse_property_expr,
 )
-from .theorems import ClaimBudgetError, UnknownClaimError, verify_claims
+from .theorems import ClaimBudgetError, verify_claims
 
 
 def _load_magmas(source: str) -> list[Magma]:
@@ -99,11 +99,6 @@ def _check_bounds(args: argparse.Namespace) -> None:
             setattr(args, dest, value)
         if value is not None and not value >= low:
             raise ValueError(f"{flag} must be >= {low}, got {value}")
-
-
-def _usage_error(message: str) -> int:
-    print(f"error: {message}", file=sys.stderr)
-    return 2
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
@@ -330,19 +325,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     except ClaimBudgetError as exc:
         results, partial = exc.results, exc
     if args.json:
-        payload = [
-            {
-                "id": r.id,
-                "kind": r.kind,
-                "status": r.status,
-                "scope": r.scope,
-                "external_premise": r.external_premise,
-                "statement": r.statement,
-                "evidence": r.evidence,
-            }
-            for r in results
-        ]
-        print(json.dumps(payload, ensure_ascii=False))
+        print(json.dumps([dataclasses.asdict(r) for r in results], ensure_ascii=False))
     else:
         for r in results:
             tag = " [external premise]" if r.external_premise else ""
@@ -425,10 +408,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except BudgetExceeded as exc:
         print(f"partial: {exc}", file=sys.stderr)
         return 3
-    except (ParseError, UnknownPropertyError, UnknownClaimError) as exc:
-        return _usage_error(str(exc))
     except (OSError, ValueError) as exc:
-        return _usage_error(str(exc))
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
 
 
 if __name__ == "__main__":

@@ -127,6 +127,12 @@ def _search(
     in its first loop, (0, q) itself, and both sides of that instance are
     the cell (v, 0); its second loop reads row q, which is empty for
     q >= 1 and holds only (0, 0), the first cell replayed, for q = 0.
+
+    assign() relies on one invariant: the cell it is given is undecided.
+    The replay forces no cell, so each cell of row 0 is still undecided
+    when its turn comes.  dfs() assigns only the first undecided cell,
+    and undo() clears it again before the next value.  Both propagation
+    loops call assign() only on a cell they have just read as undecided.
     """
     size = n * n
     T = [-1] * size
@@ -137,9 +143,6 @@ def _search(
     nodes = 0
 
     def assign(idx: int, v: int) -> bool:
-        w = T[idx]
-        if w >= 0:
-            return w == v
         T[idx] = v
         trail.append(idx)
         occ[v].append(idx)
@@ -268,31 +271,28 @@ def _work_unit(args) -> tuple:
     if wall_deadline is not None:
         deadline = time.monotonic() + (wall_deadline - time.time())
 
-    tables: list[tuple[int, ...]] = []
-    acc = [0, 0, 0, 0, 0]  # total, ca, associative, ca∧assoc, assoc∧¬comm∧ca
     if mode == "tables":
-        emit = tables.append
+        payload = []
+        emit = payload.append
     elif mode == "census":
+        acc = payload = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
         is_ca = CHECKERS["cyclic_associative"]
         is_assoc = CHECKERS["associative"]
         is_comm = CHECKERS["commutative"]
 
         def emit(t: tuple[int, ...]) -> None:
-            acc[0] += 1
             ca = is_ca(n, t) is None
-            assoc = is_assoc(n, t) is None
             if ca:
+                acc[0] += 1
+            if is_assoc(n, t) is None:
                 acc[1] += 1
-            if assoc:
-                acc[2] += 1
                 if ca:
-                    acc[3] += 1
+                    acc[2] += 1
                     if is_comm(n, t) is not None:
-                        acc[4] += 1
+                        acc[3] += 1
     else:
-        emit = None
+        payload = emit = None
 
-    payload = tables if mode == "tables" else acc if mode == "census" else None
     try:
         cnt = _search(n, emit, first_row, deadline=deadline)
     except _DeadlineHit as hit:
@@ -326,7 +326,7 @@ def _run(
     units = [(n, row, mode, wall_deadline) for row in rows]
 
     total = 0
-    agg = [0, 0, 0, 0, 0]
+    agg = [0, 0, 0, 0]
     done = 0
     # A fork pool starts every worker it may use at the first submit.
     workers = min(jobs, len(units), os.cpu_count() or 1)
@@ -344,7 +344,7 @@ def _run(
             if status == "partial":
                 raise BudgetExceeded(
                     n, total, done, len(units),
-                    _census_counts(agg) if mode == "census" else None,
+                    _census_counts(total, agg) if mode == "census" else None,
                 )
             done += 1
             if progress is not None:
@@ -384,31 +384,20 @@ def enumerate_ag(
     return total
 
 
-def _census_counts(acc: list[int]) -> dict[str, int]:
-    total, ca, assoc, ca_assoc, anc = acc
-    return {
-        "AG": total,
-        "CA": ca,
-        "associative": assoc,
-        "non-associative": total - assoc,
-        "CA ∧ non-associative": ca - ca_assoc,
-        "associative ∧ ¬CA": assoc - ca_assoc,
-        "CA ∧ associative": ca_assoc,
-        "associative ∧ ¬commutative ∧ CA": anc,
-    }
+def _census_counts(total: int, acc: list[int]) -> dict[str, int]:
+    ca, assoc, ca_assoc, anc = acc
+    return dict(zip(ROW_ORDER, (
+        total, ca, assoc, total - assoc, ca - ca_assoc, assoc - ca_assoc, ca_assoc, anc,
+    )))
 
 
 def classify_census(
-    n: int,
-    *,
-    jobs: int = 1,
-    budget: float | None = None,
-    progress: Callable[[int, int, int], None] | None = None,
+    n: int, *, jobs: int = 1, budget: float | None = None,
 ) -> EnumerationReport:
     """Count the census classes among AG-groupoids of order n.
 
     Class predicates are the props checkers; the counts satisfy the
     arithmetic identities relating the eight ROW_ORDER rows.
     """
-    _, acc = _run(n, "census", jobs=jobs, budget=budget, progress=progress)
-    return EnumerationReport(n, _census_counts(acc))
+    total, acc = _run(n, "census", jobs=jobs, budget=budget)
+    return EnumerationReport(n, _census_counts(total, acc))

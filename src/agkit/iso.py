@@ -1,27 +1,19 @@
 """Canonical forms and isomorphism tests for finite magmas.
 
-The canonical form is the lexicographically least row-major table over all
-n! relabelings; two magmas are isomorphic iff their canonical keys match.
+The canonical form is the Magma whose row-major table is lexicographically
+least over all n! relabelings.  The canonical key is that same Magma:
+two magmas are isomorphic iff their canonical keys are equal.
 Full minimization is affordable at the supported orders, so no
 partition-refinement machinery is used.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import permutations
 from typing import Sequence
 
 from .core import Magma
-
-
-@dataclass(frozen=True)
-class CanonicalKey:
-    """Isomorphism-class representative: order plus minimal table."""
-
-    order: int
-    table: tuple[int, ...]
 
 
 def relabel(m: Magma, p: Sequence[int]) -> Magma:
@@ -79,14 +71,13 @@ def _min_table(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(best)
 
 
-def canonical_key(m: Magma) -> CanonicalKey:
-    """Lexicographically least row-major table over all relabelings."""
-    return CanonicalKey(m.order, _min_table(m.order, m.table))
-
-
 def canonical_form(m: Magma) -> Magma:
-    """The canonical representative of m's isomorphism class."""
-    return Magma(m.order, canonical_key(m).table)
+    """The canonical representative of m's isomorphism class: the least
+    row-major table over all relabelings."""
+    return Magma(m.order, _min_table(m.order, m.table))
+
+
+canonical_key = canonical_form
 
 
 def are_isomorphic(m1: Magma, m2: Magma) -> bool:

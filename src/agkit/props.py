@@ -329,6 +329,10 @@ def classify(m: Magma) -> PropertyVector:
 # are no catalog property.
 EXPR_ATOMS: tuple[str, ...] = (*CATALOG, "has_cancellative_element", *CLAIM_LAWS)
 
+# Deepest nesting of '(' and '!' a property expression may have.  It keeps
+# the recursive parser and evaluator far below the interpreter's stack limit.
+MAX_EXPR_NESTING = 100
+
 _TOKEN_OPS = {
     "&": "&", "∧": "&", "and": "&",
     "|": "|", "∨": "|", "or": "|",
@@ -393,9 +397,11 @@ def parse_property_expr(text: str) -> PropertyExpr:
 
     Atoms are pure functions of the table, so reordering the operands of
     each & and | by cost changes which atoms run, never the value.
+    Nesting deeper than MAX_EXPR_NESTING levels of ( and ! is rejected.
     """
     tokens = _tokenize(text)
     pos = 0
+    depth = 0
 
     def peek() -> str | None:
         return tokens[pos] if pos < len(tokens) else None
@@ -413,13 +419,22 @@ def parse_property_expr(text: str) -> PropertyExpr:
     names: set[str] = set()
 
     def parse_atom() -> tuple:
+        nonlocal depth
         tok = take()
-        if tok == "(":
-            node = parse_or()
-            take(")")
+        if tok in ("(", "!"):
+            depth += 1
+            if depth > MAX_EXPR_NESTING:
+                raise UnknownPropertyError(
+                    f"property expression nests deeper than {MAX_EXPR_NESTING} "
+                    "levels of '(' and '!'"
+                )
+            if tok == "(":
+                node = parse_or()
+                take(")")
+            else:
+                node = ("not", parse_atom())
+            depth -= 1
             return node
-        if tok == "!":
-            return ("not", parse_atom())
         if tok in ("&", "|", ")"):
             raise UnknownPropertyError(f"misplaced {tok!r} in property expression {text!r}")
         if tok not in EXPR_ATOMS:

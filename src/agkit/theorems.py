@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -406,7 +407,6 @@ CLAIMS: tuple[Claim, ...] = (
 )
 
 CLAIM_IDS: tuple[str, ...] = tuple(c.id for c in CLAIMS)
-_REGISTRY: dict[str, Claim] = {c.id: c for c in CLAIMS}
 
 # Validate every registry expression once at import; typos fail loudly here.
 for _claim in CLAIMS:
@@ -421,7 +421,6 @@ for _claim in CLAIMS:
 
 
 _UNIVERSE_CACHE: dict[int, tuple[Magma, ...]] = {}
-_ALL_MAGMAS_CACHE: dict[int, tuple[Magma, ...]] = {}
 
 # Exhaustive all-magma scopes are capped here: the labeled-table space is
 # n^(n^2) and already infeasible at order 4.
@@ -438,13 +437,9 @@ def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
     return got
 
 
+@lru_cache(maxsize=None)
 def _all_magmas(n: int) -> tuple[Magma, ...]:
-    got = _ALL_MAGMAS_CACHE.get(n)
-    if got is None:
-        got = _ALL_MAGMAS_CACHE[n] = tuple(
-            Magma(n, t) for t in product(range(n), repeat=n * n)
-        )
-    return got
+    return tuple(Magma(n, t) for t in product(range(n), repeat=n * n))
 
 
 class _Pool(AtomColumns):
@@ -575,7 +570,7 @@ def verify_claims(
     and carries the results of the claims finished before it.
     """
     if ids is not None:
-        unknown = [i for i in ids if i not in _REGISTRY]
+        unknown = [i for i in ids if i not in CLAIM_IDS]
         if unknown:
             raise UnknownClaimError(
                 f"unknown claim ids: {', '.join(unknown)}; valid: {', '.join(CLAIM_IDS)}"

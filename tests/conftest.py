@@ -220,6 +220,43 @@ def brute_enumeration(n: int) -> tuple[tuple, ...]:
     return tuple(sorted(classes))
 
 
+def count_labelled_ag(n: int) -> int:
+    """Number of AG tables on 0..n-1, with no symmetry and no propagation.
+
+    Fills cells in row-major order and checks each new cell against every
+    instance of (ab)c = (cb)a in which it occurs and whose other lookups
+    are decided; an instance is checked when its last lookup is filled.
+    """
+    size = n * n
+    t = [-1] * size
+    r = range(n)
+
+    def consistent(idx: int) -> bool:
+        for a, b, c in itertools.product(r, repeat=3):
+            ab, cb = a * n + b, c * n + b
+            if t[ab] < 0 or t[cb] < 0:
+                continue
+            left, right = t[ab] * n + c, t[cb] * n + a
+            if t[left] < 0 or t[right] < 0 or idx not in (ab, cb, left, right):
+                continue
+            if t[left] != t[right]:
+                return False
+        return True
+
+    def fill(idx: int) -> int:
+        if idx == size:
+            return 1
+        total = 0
+        for v in r:
+            t[idx] = v
+            if consistent(idx):
+                total += fill(idx + 1)
+        t[idx] = -1
+        return total
+
+    return fill(0)
+
+
 def brute_isomorphic(m1: Magma, m2: Magma) -> bool:
     if m1.order != m2.order:
         return False

@@ -81,6 +81,29 @@ def test_check_unknown_property_exits_two(capsys):
         assert "unknown property" in err, name
 
 
+@pytest.mark.parametrize(
+    "expr", ["(" * 400 + "band" + ")" * 400, "!" * 2000 + "band"], ids=["parens", "negations"],
+)
+@pytest.mark.parametrize("argv", [
+    ("check", "1:0", "--expr"),
+    ("enumerate", "--order", "3", "--count-only", "--class"),
+], ids=["check", "enumerate"])
+def test_deeply_nested_expression_exits_two(capsys, argv, expr):
+    code, out, err = run(capsys, *argv, expr)
+    assert code == 2
+    assert out == ""
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_expression_at_the_nesting_limit_evaluates(capsys):
+    code, out, _ = run(
+        capsys, "check", "3:0,0,0,0,1,0,0,0,2", "--expr", "!(" * 50 + "band" + ")" * 50,
+    )
+    assert code == 0
+    assert out.strip() == "true"
+
+
 def test_check_parse_error_position(capsys):
     code, _, err = run(capsys, "check", "2:0,9,0,0", "--props", "ag")
     assert code == 2

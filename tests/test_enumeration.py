@@ -1,6 +1,8 @@
 """Enumeration counts, determinism, partitions, budgets, and the census."""
 
 import hashlib
+import itertools
+import math
 import os
 import time
 from functools import lru_cache
@@ -21,9 +23,17 @@ from agkit import (
     iso,
 )
 
-from conftest import ag_universe, brute_enumeration
+from conftest import ag_universe, brute_enumeration, count_labelled_ag, naive_relabel
 
 KNOWN_COUNTS = {1: 1, 2: 3, 3: 20, 4: 331}
+
+# AG-groupoids on the labelled set {0..n-1}, isomorphic ones counted apart.
+LABELLED_COUNTS = {1: 1, 2: 6, 3: 105, 4: 7336, 5: 3756645}
+
+large = pytest.mark.skipif(
+    not os.environ.get("AGKIT_ALLOW_LARGE"),
+    reason="seconds-scale check; set AGKIT_ALLOW_LARGE=1 to run",
+)
 
 # SHA-256 of the canonical stream, one comma-joined table per line.
 STREAM_DIGESTS = {
@@ -86,6 +96,26 @@ def test_matches_brute_force_oracle(n, monkeypatch):
     assert handed_out and all(r is root for r in handed_out)
     assert [(p, src, cursor) for p, src, cursor in root] == before
     assert all(cursor == 0 for _, _, cursor in before)
+
+
+def _automorphism_count(m) -> int:
+    n = m.order
+    return sum(
+        naive_relabel(m.table, n, p) == m.table for p in itertools.permutations(range(n))
+    )
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4, pytest.param(5, marks=large)])
+def test_orbit_sum_counts_every_labelled_table(n):
+    # Each class stands for n!/|Aut| labelled tables; a missed or a
+    # duplicated class changes the sum even where the class count is right.
+    orbit_sum = sum(math.factorial(n) // _automorphism_count(m) for m in ag_universe(n))
+    assert orbit_sum == LABELLED_COUNTS[n]
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, pytest.param(4, marks=large)])
+def test_labelled_counts_match_an_independent_counter(n):
+    assert count_labelled_ag(n) == LABELLED_COUNTS[n]
 
 
 @pytest.mark.parametrize("n", sorted(STREAM_DIGESTS))

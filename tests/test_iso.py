@@ -102,3 +102,5 @@ def test_canonical_key_fields():
     key = canonical_key(m)
     assert key.order == 2
     assert Magma(key.order, key.table) == canonical_form(m)
+    assert canonical_key(m) == canonical_form(m)
+    assert type(key) is Magma
