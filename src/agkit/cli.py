@@ -104,9 +104,11 @@ def _check_bounds(args: argparse.Namespace) -> None:
 def _cmd_check(args: argparse.Namespace) -> int:
     magmas = _load_magmas(args.table)
     props: list[str] = []
-    if args.props:
+    if args.props is not None:
         props = [p.strip() for p in args.props.split(",") if p.strip()]
-    expr = parse_property_expr(args.expr) if args.expr else None
+        if not props:
+            raise ValueError(f"--props {args.props!r} names no property")
+    expr = parse_property_expr(args.expr) if args.expr is not None else None
     predicate_mode = bool(props) or expr is not None
     if expr is not None:
         holding = set(AtomColumns(magmas).select(expr, range(len(magmas))))
@@ -207,7 +209,7 @@ def _cmd_canon(args: argparse.Namespace) -> int:
 
 def _cmd_enumerate(args: argparse.Namespace) -> int:
     _require_allow_large(args.order, args.allow_large)
-    expr = parse_property_expr(args.cls) if args.cls else None
+    expr = parse_property_expr(args.cls) if args.cls is not None else None
     partition = _parse_partition(args.partition)
 
     out_stream = sys.stdout
@@ -317,8 +319,10 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 def _cmd_verify(args: argparse.Namespace) -> int:
     ids = None
-    if args.claims:
+    if args.claims is not None:
         ids = [c.strip() for c in args.claims.split(",") if c.strip()]
+        if not ids:
+            raise ValueError(f"--claims {args.claims!r} names no claim id")
     partial = None
     try:
         results = verify_claims(args.max_order, ids, budget=args.budget)

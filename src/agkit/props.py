@@ -5,20 +5,26 @@ laws that claims state about idempotents in CLAIM_LAWS.  At import a
 small parser reads each law and a compiler turns it into one nested-loop
 checker, generated with exec, that scans element tuples in lexicographic
 order and returns the first falsifying tuple, or None when the law
-holds, so witnesses are deterministic.  check_property/classify wrap the
-catalog checkers; the raw checker registry CHECKERS, which holds one
-checker per expression atom, is shared with the enumeration census and
-the claim runners.  Property expressions are evaluated over a pool of
-magmas at a time (AtomColumns), one atom column per step; the operands
-of each & and | run cheapest first, by the ATOM_COST of their atoms (the
-number of variables of a law), so a one-variable atom can rule a table
-out before a four-variable law scans it.
+holds, so witnesses are deterministic.  A four-variable law whose
+innermost variable occurs once on each side (medial, paramedial,
+bol_star) compares the two sides as composed rows or columns of the
+table, one n-tuple per outer binding, and scans the innermost variable
+only where they differ, so its witness is the same.  check_property
+wraps the catalog checkers, and classify runs each checker that is no
+composite once per magma; the raw checker registry CHECKERS, which
+holds one checker per expression atom, is shared with the enumeration
+census and the claim runners.  Property expressions are evaluated over a
+pool of magmas at a time (AtomColumns), one atom column per step; the
+operands of each & and | run cheapest first, by the ATOM_COST of their
+atoms (the number of variables of a law), so a one-variable atom can
+rule a table out before a four-variable law scans it.
 """
 
 from __future__ import annotations
 
 from collections import Counter
 from dataclasses import dataclass
+from operator import itemgetter
 from typing import Callable, Iterable, Optional
 
 from .core import Magma
@@ -116,6 +122,21 @@ def _differing_pair(x, y):
     return x, y
 
 
+def _z_chain(x, z: str):
+    """The side x as a function of the variable z, which occurs in x once:
+    a list of ("L", y) for the row map z -> yz and ("R", y) for the column
+    map z -> zy, outermost first."""
+    chain = []
+    while x != z:
+        if z in _letters(x[1]):
+            chain.append(("L", x[0]))
+            x = x[1]
+        else:
+            chain.append(("R", x[1]))
+            x = x[0]
+    return chain
+
+
 def _law_source(name: str, text: str) -> str:
     """Python source of the nested-loop checker for one law.
 
@@ -129,6 +150,16 @@ def _law_source(name: str, text: str) -> str:
     bound above the innermost loop, the checker skips the inner loops
     wherever that pair is equal, since the equation then holds for every
     inner binding.
+
+    A four-variable law with no hypothesis whose one equation has d once
+    on each side replaces the innermost scalar test by one comparison of
+    n-tuples.  As a function of d each side is a chain of row maps L_x
+    (d -> xd) and column maps R_x (d -> dx); (ab)(cd), for one, is
+    L_ab after L_c.  A chain of one map reads the row L[x] = t[x*n:x*n+n]
+    or the column R[x] = t[x::n]; a chain of two reads a composition
+    table such as LL[x][y] = L_x after L_y, built once per call with
+    itemgetter.  Only where the two tuples differ does the d-loop run, so
+    the witness is the same.
     """
     hyps, _, concl = text.rpartition("->")
     hyps, eqs = _equations(hyps), _equations(concl)
@@ -138,6 +169,11 @@ def _law_source(name: str, text: str) -> str:
     if used != set(_VARS[:nvars]):
         raise ValueError(f"law {text!r} must name its variables from a on, in order")
     last = nvars - 1
+    chains = None
+    if nvars == 4 and not hyps and [_letters(x).count("d") for x in sides] == [1, 1]:
+        chains = [_z_chain(x, "d") for x in sides]
+        if not all(1 <= len(chain) <= 2 for chain in chains):
+            chains = None
 
     def level(x) -> int:
         return max(map(_VARS.index, _letters(x)))
@@ -183,21 +219,40 @@ def _law_source(name: str, text: str) -> str:
         if k < last:
             stmts[k].append(f"if {expr(s)} == {expr(s2)}: continue")
     lines = [f"def _check_{name}(n, t):"]
+    if chains:
+        # For n = 1 itemgetter returns a bare element, not a 1-tuple; it
+        # never equals a row or column, so the d-loop decides there.
+        kinds = {kind for chain in chains for kind, _ in chain}
+        for kind, base in (("L", "t[x * n:x * n + n]"), ("R", "t[x::n]")):
+            if kind in kinds:
+                lines.append(f"    {kind} = [{base} for x in range(n)]")
+        pairs = sorted({chain[0][0] + chain[1][0] for chain in chains if len(chain) == 2})
+        for kind in sorted({pair[1] for pair in pairs}):
+            lines.append(f"    get_{kind} = [itemgetter(*f) for f in {kind}]")
+        for pair in pairs:
+            lines.append(f"    {pair} = [[g(f) for g in get_{pair[1]}] for f in {pair[0]}]")
+        maps = ["".join(k for k, _ in chain) + "".join(f"[{expr(y)}]" for _, y in chain)
+                for chain in chains]
+    depth = 1
     for k in range(nvars):
-        lines.append("    " * (k + 1) + f"for {_VARS[k]} in range(n):")
-        lines += ["    " * (k + 2) + stmt for stmt in stmts[k]]
+        if chains and k == last:
+            lines.append("    " * depth + f"if {maps[0]} != {maps[1]}:")
+            depth += 1
+        lines.append("    " * depth + f"for {_VARS[k]} in range(n):")
+        depth += 1
+        lines += ["    " * depth + stmt for stmt in stmts[k]]
     cond = " or ".join(f"{expr(lhs)} != {expr(rhs)}" for lhs, rhs in eqs)
     if inner_hyps:
         cond = " and ".join([f"{expr(lhs)} == {expr(rhs)}" for lhs, rhs in inner_hyps]
                             + [cond if len(eqs) == 1 else f"({cond})"])
-    pad = "    " * (nvars + 1)
+    pad = "    " * depth
     witness = ", ".join(_VARS[:nvars]) + "," * (nvars == 1)
     lines += [f"{pad}if {cond}:", f"{pad}    return ({witness})", "    return None"]
     return "\n".join(lines) + "\n"
 
 
 def _compile_law(name: str, text: str) -> Checker:
-    namespace: dict = {}
+    namespace: dict = {"itemgetter": itemgetter}
     exec(compile(_law_source(name, text), f"<law {name}>", "exec"), namespace)
     checker = namespace[f"_check_{name}"]
     checker.__doc__ = text
@@ -317,10 +372,13 @@ def check_property(m: Magma, p: str) -> CheckResult:
 
 
 def classify(m: Magma) -> PropertyVector:
-    """Evaluate the full catalog for one magma."""
+    """Evaluate the full catalog for one magma: each checker that is no
+    composite runs once, and each composite is the conjunction of its parts."""
     n, t = m.order, m.table
-    flags = tuple(CHECKERS[name](n, t) is None for name in CATALOG)
-    return PropertyVector(flags)
+    holds = {name: CHECKERS[name](n, t) is None for name in CATALOG if name not in COMPOSITES}
+    for name, parts in COMPOSITES.items():
+        holds[name] = all(holds[part] for part in parts)
+    return PropertyVector(tuple(holds[name] for name in CATALOG))
 
 
 # --- property expressions -------------------------------------------------

@@ -81,6 +81,23 @@ def test_check_unknown_property_exits_two(capsys):
         assert "unknown property" in err, name
 
 
+@pytest.mark.parametrize("option,value", [
+    ("--expr", ""), ("--expr", " "), ("--props", ""), ("--props", ","), ("--props", " "),
+])
+def test_check_empty_selection_exits_two(capsys, option, value):
+    code, out, err = run(capsys, "check", "2:0,0,0,0", option, value)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
+def test_enumerate_empty_class_exits_two(capsys):
+    code, out, err = run(capsys, "enumerate", "--order", "3", "--count-only", "--class", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 @pytest.mark.parametrize(
     "expr", ["(" * 400 + "band" + ")" * 400, "!" * 2000 + "band"], ids=["parens", "negations"],
 )
@@ -405,6 +422,14 @@ def test_verify_unknown_claim(capsys):
     code, _, err = run(capsys, "verify", "--claims", "C99")
     assert code == 2
     assert "unknown claim" in err
+
+
+@pytest.mark.parametrize("claims", ["", ",", " ", " , "])
+def test_verify_claims_naming_no_id_exits_two(capsys, claims):
+    code, out, err = run(capsys, "verify", "--claims", claims)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 def test_verify_json(capsys):

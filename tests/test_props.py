@@ -2,6 +2,8 @@
 
 import ast
 import hashlib
+import random
+from collections import Counter
 from itertools import product
 from pathlib import Path
 
@@ -14,6 +16,7 @@ from agkit import (
     UnknownPropertyError,
     check_property,
     classify,
+    fixtures,
     magma_satisfies,
     parse_magma,
     parse_property_expr,
@@ -28,10 +31,11 @@ from agkit.props import (
     COMPOSITES,
     EXPR_ATOMS,
     LAWS,
+    _compile_law,
     _law_source,
 )
 
-from conftest import ag_universe, magmas, oracle_check
+from conftest import M, V, ag_universe, eval_term, magmas, oracle_check
 
 
 def assert_matches_oracle(m: Magma) -> None:
@@ -61,6 +65,27 @@ def test_oracle_agreement_on_small_universe(small_universe):
 @given(magmas(max_order=4))
 def test_oracle_agreement_on_random_magmas(m):
     assert_matches_oracle(m)
+
+
+@st.composite
+def _near_affine(draw, orders=(5, 6)):
+    """x*y = (p*x + q*y + r) mod n, with up to two cells overwritten.
+
+    Affine tables are medial, so the four-variable laws often hold, or
+    fail only at a tuple far into the scan."""
+    n = draw(st.sampled_from(orders))
+    p, q, r = (draw(st.integers(0, n - 1)) for _ in range(3))
+    cells = [(p * x + q * y + r) % n for x in range(n) for y in range(n)]
+    for _ in range(draw(st.integers(0, 2))):
+        cells[draw(st.integers(0, n * n - 1))] = draw(st.integers(0, n - 1))
+    return Magma(n, tuple(cells))
+
+
+@given(st.one_of(_near_affine(), magmas(min_order=5, max_order=6)))
+def test_four_variable_laws_match_oracle_past_order_4(m):
+    for name in ("medial", "paramedial", "bol_star"):
+        holds, witness = oracle_check(m, name)
+        assert CHECKERS[name](m.order, m.table) == witness, (name, m)
 
 
 def test_constant_magma_satisfies_every_identity():
@@ -300,6 +325,61 @@ def test_witness_digest():
     )
 
 
+def _seeded_tables() -> list[Magma]:
+    """300 tables of each order 5-7, a third uniformly random, a third
+    affine (x*y = px + qy + r mod n) and a third affine with one cell
+    overwritten, then the bundled order-8 table13."""
+    rng = random.Random(2015)
+    tables = []
+    for n in (5, 6, 7):
+        for k in range(300):
+            if k % 3 == 0:
+                cells = [rng.randrange(n) for _ in range(n * n)]
+            else:
+                p, q, r = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+                cells = [(p * x + q * y + r) % n for x in range(n) for y in range(n)]
+                if k % 3 == 2:
+                    cells[rng.randrange(n * n)] = rng.randrange(n)
+            tables.append(Magma(n, tuple(cells)))
+    return tables + [fixtures()["table13"]]
+
+
+def test_witness_digest_past_order_4():
+    # Every catalog verdict and witness over seeded tables of orders 5-8,
+    # where the four-variable laws compare rows instead of scanning
+    # tuples; the digest was taken from the scalar checkers.
+    tables = _seeded_tables()
+    held = Counter()
+    h = hashlib.sha256()
+    for m in tables:
+        for name in CATALOG:
+            r = check_property(m, name)
+            held[name] += r.holds
+            h.update(repr((r.holds, r.witness)).encode())
+    assert (held["medial"], held["paramedial"], held["bol_star"]) == (365, 135, 94)
+    assert h.hexdigest() == (
+        "8c30cf1407b57428628414f40f0d611a79a6458078e1aee423f6d62e0332670a"
+    )
+
+
+def test_classify_runs_each_checker_once(monkeypatch, fixture_map):
+    calls: Counter = Counter()
+
+    def counted(name, checker):
+        def check(n, t):
+            calls[name] += 1
+            return checker(n, t)
+        return check
+
+    for name, checker in list(CHECKERS.items()):
+        monkeypatch.setitem(props.CHECKERS, name, counted(name, checker))
+    once = Counter(name for name in CATALOG if name not in COMPOSITES)
+    for m in list(fixture_map.values()) + _seeded_tables()[::100]:
+        calls.clear()
+        classify(m)
+        assert calls == once, m
+
+
 def test_conftest_oracle_imports_no_checker():
     # The term-tree oracle must not share code with the checkers it judges.
     tree = ast.parse((Path(__file__).parent / "conftest.py").read_text())
@@ -345,8 +425,65 @@ def test_law_compiler_hoists_names_and_skips():
         "                    return (a, b, c)",
         "    return None",
     ]
+    # A four-variable law with d once on each side compares the two sides
+    # as functions of d, (ab)(cd) as L_ab after L_c, and scans d only
+    # where they differ.
+    assert source("medial").splitlines() == [
+        "def _check_medial(n, t):",
+        "    L = [t[x * n:x * n + n] for x in range(n)]",
+        "    get_L = [itemgetter(*f) for f in L]",
+        "    LL = [[g(f) for g in get_L] for f in L]",
+        "    for a in range(n):",
+        "        for b in range(n):",
+        "            ab = t[a * n + b]",
+        "            for c in range(n):",
+        "                ac = t[a * n + c]",
+        "                if LL[ab][c] != LL[ac][b]:",
+        "                    for d in range(n):",
+        "                        if t[ab * n + t[c * n + d]] != t[ac * n + t[b * n + d]]:",
+        "                            return (a, b, c, d)",
+        "    return None",
+    ]
+    assert "if LL[ab][c] != RR[ca][b]:" in source("paramedial")
+    assert "if LL[a][bc] != L[abc]:" in source("bol_star")
+    # The census predicates, the left invertive law and T1 (a hypothesis)
+    # keep the plain loop nest.
+    for name in ("cyclic_associative", "associative", "commutative", "ag", "T1"):
+        assert source(name).splitlines()[1] == "    for a in range(n):", name
+        assert "itemgetter" not in source(name), name
     # T1's hypothesis needs d, so it stays in the innermost condition.
     assert "if ab == t[c * n + d] and ba != t[d * n + c]:" in source("T1")
     for bad in ("abc = a", "a(b = a", "ab) = a", "() = a", "ab = ba = ab", "ab", "bc = cb", "e = a"):
         with pytest.raises(ValueError):
             _law_source("bad", bad)
+
+
+# Four-variable laws outside the catalog whose sides, as functions of d,
+# are the other chains of row and column maps: L after R, R after L, R
+# after R, a lone column, and one chain of three maps, which keeps the
+# plain loop nest.  Each is paired with its term trees for eval_term.
+_CHAIN_LAWS = {
+    "a(db) = (ab)(dc)": (M(V(0), M(V(3), V(1))), M(M(V(0), V(1)), M(V(3), V(2)))),
+    "(ad)(bc) = (d(ab))c": (M(M(V(0), V(3)), M(V(1), V(2))), M(M(V(3), M(V(0), V(1))), V(2))),
+    "(da)b = c(bd)": (M(M(V(3), V(0)), V(1)), M(V(2), M(V(1), V(3)))),
+    "d(ab) = (cd)a": (M(V(3), M(V(0), V(1))), M(M(V(2), V(3)), V(0))),
+    "((ad)b)c = (ab)(cd)": (M(M(M(V(0), V(3)), V(1)), V(2)), M(M(V(0), V(1)), M(V(2), V(3)))),
+}
+
+
+def test_every_chain_shape_matches_term_evaluation():
+    rng = random.Random(7)
+    tables = [Magma(1, (0,))] + _seeded_tables()[::7]
+    tables += [Magma(n, tuple(rng.randrange(2) for _ in range(n * n)))
+               for n in (2, 3, 4) for _ in range(20)]
+    for k, (law, (lhs, rhs)) in enumerate(_CHAIN_LAWS.items()):
+        checker = _compile_law(f"chain{k}", law)
+        assert ("itemgetter" in _law_source("x", law)) == (k < 4), law
+        failing = 0
+        for m in tables:
+            n, t = m.order, m.table
+            want = next((env for env in product(range(n), repeat=4)
+                         if eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env)), None)
+            assert checker(n, t) == want, (law, m)
+            failing += want is not None
+        assert 0 < failing < len(tables), law
