@@ -5,11 +5,12 @@ laws that claims state about idempotents in CLAIM_LAWS.  At import a
 small parser reads each law and a compiler turns it into one nested-loop
 checker, generated with exec, that scans element tuples in lexicographic
 order and returns the first falsifying tuple, or None when the law
-holds, so witnesses are deterministic.  A four-variable law whose
-innermost variable occurs once on each side (medial, paramedial,
-bol_star) compares the two sides as composed rows or columns of the
-table, one n-tuple per outer binding, and scans the innermost variable
-only where they differ, so its witness is the same.  check_property
+holds, so witnesses are deterministic.  Where the last variable of a
+lone equation occurs once on each side, and each side read as a function
+of it is a short chain of row and column maps (left_commutative, medial,
+paramedial, bol_star), one guard per outer binding compares the two
+composed rows and skips the innermost loop where they are equal, so the
+witness is the same.  check_property
 wraps the catalog checkers, and classify runs each checker that is no
 composite once per magma; the raw checker registry CHECKERS, which
 holds one checker per expression atom, is shared with the enumeration
@@ -109,19 +110,6 @@ def _letters(x) -> str:
     return x if isinstance(x, str) else _letters(x[0]) + _letters(x[1])
 
 
-def _differing_pair(x, y):
-    """The subterms of x and y at the deepest position outside of which
-    the two terms agree."""
-    while x != y and not isinstance(x, str) and not isinstance(y, str):
-        if x[0] == y[0]:
-            x, y = x[1], y[1]
-        elif x[1] == y[1]:
-            x, y = x[0], y[0]
-        else:
-            break
-    return x, y
-
-
 def _z_chain(x, z: str):
     """The side x as a function of the variable z, which occurs in x once:
     a list of ("L", y) for the row map z -> yz and ("R", y) for the column
@@ -146,20 +134,19 @@ def _law_source(name: str, text: str) -> str:
     it gets a local name only when it occurs twice.  A hypothesis whose
     sides are bound above the innermost loop is tested in the loop that
     binds its last variable, which skips the inner loops where it fails.
-    When the two sides of a lone equation differ in one pair of subterms
-    bound above the innermost loop, the checker skips the inner loops
-    wherever that pair is equal, since the equation then holds for every
-    inner binding.
 
-    A four-variable law with no hypothesis whose one equation has d once
-    on each side replaces the innermost scalar test by one comparison of
-    n-tuples.  As a function of d each side is a chain of row maps L_x
-    (d -> xd) and column maps R_x (d -> dx); (ab)(cd), for one, is
-    L_ab after L_c.  A chain of one map reads the row L[x] = t[x*n:x*n+n]
+    One shortcut skips the innermost loop.  In a lone equation with no
+    hypothesis whose last variable z occurs once on each side, each side
+    is, as a function of z, a chain of row maps L_x (z -> xz) and column
+    maps R_x (z -> zx); (ab)(cd), for one, is L_ab after L_c.  When both
+    chains have at most nvars - 2 maps, the second-to-last loop ends with
+    "if <lhs map> == <rhs map>: continue": where the maps are equal the
+    equation holds for every z, and elsewhere the scalar z-loop finds the
+    same witness.  A chain of one map reads the row L[x] = t[x*n:x*n+n]
     or the column R[x] = t[x::n]; a chain of two reads a composition
     table such as LL[x][y] = L_x after L_y, built once per call with
-    itemgetter.  Only where the two tuples differ does the d-loop run, so
-    the witness is the same.
+    itemgetter.  The bound nvars - 2 keeps that prelude at most
+    n**(nvars - 1) reads, one power of n below the n**nvars scan it gates.
     """
     hyps, _, concl = text.rpartition("->")
     hyps, eqs = _equations(hyps), _equations(concl)
@@ -169,10 +156,10 @@ def _law_source(name: str, text: str) -> str:
     if used != set(_VARS[:nvars]):
         raise ValueError(f"law {text!r} must name its variables from a on, in order")
     last = nvars - 1
-    chains = None
-    if nvars == 4 and not hyps and [_letters(x).count("d") for x in sides] == [1, 1]:
-        chains = [_z_chain(x, "d") for x in sides]
-        if not all(1 <= len(chain) <= 2 for chain in chains):
+    z, chains = _VARS[last], None
+    if not hyps and [_letters(x).count(z) for x in sides] == [1, 1]:
+        chains = [_z_chain(x, z) for x in sides]
+        if not all(1 <= len(chain) <= nvars - 2 for chain in chains):
             chains = None
 
     def level(x) -> int:
@@ -213,15 +200,11 @@ def _law_source(name: str, text: str) -> str:
             stmts[k].append(f"if {expr(lhs)} != {expr(rhs)}: continue")
         else:
             inner_hyps.append((lhs, rhs))
-    if not hyps and len(eqs) == 1:
-        s, s2 = _differing_pair(*eqs[0])
-        k = max(level(s), level(s2))
-        if k < last:
-            stmts[k].append(f"if {expr(s)} == {expr(s2)}: continue")
     lines = [f"def _check_{name}(n, t):"]
     if chains:
-        # For n = 1 itemgetter returns a bare element, not a 1-tuple; it
-        # never equals a row or column, so the d-loop decides there.
+        # For n = 1 itemgetter returns a bare element, not a 1-tuple: two
+        # bare elements compare their one value, and a bare element never
+        # equals a row or column, so the guard never skips there.
         kinds = {kind for chain in chains for kind, _ in chain}
         for kind, base in (("L", "t[x * n:x * n + n]"), ("R", "t[x::n]")):
             if kind in kinds:
@@ -233,11 +216,9 @@ def _law_source(name: str, text: str) -> str:
             lines.append(f"    {pair} = [[g(f) for g in get_{pair[1]}] for f in {pair[0]}]")
         maps = ["".join(k for k, _ in chain) + "".join(f"[{expr(y)}]" for _, y in chain)
                 for chain in chains]
+        stmts[last - 1].append(f"if {maps[0]} == {maps[1]}: continue")
     depth = 1
     for k in range(nvars):
-        if chains and k == last:
-            lines.append("    " * depth + f"if {maps[0]} != {maps[1]}:")
-            depth += 1
         lines.append("    " * depth + f"for {_VARS[k]} in range(n):")
         depth += 1
         lines += ["    " * depth + stmt for stmt in stmts[k]]

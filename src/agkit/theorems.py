@@ -24,7 +24,7 @@ from itertools import product
 from typing import Sequence
 
 from .core import Magma, parse_magma, render_magma
-from .enumeration import BudgetExceeded, enumerate_ag
+from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, enumerate_ag
 from .props import CHECKERS, AtomColumns, parse_property_expr
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
@@ -428,6 +428,16 @@ ALL_MAGMA_ORDER_CAP = 3
 
 
 def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
+    """The AG classes of order n, kept for the process.  From order
+    LARGE_ORDER_THRESHOLD on they are refused: the 40,104,513 classes of
+    order 6 alone would take about 26 GB as Magma objects."""
+    if n >= LARGE_ORDER_THRESHOLD:
+        top = max(PUBLISHED_CENSUS)
+        raise ValueError(
+            f"the AG universe of order {n} has {'more than ' * (n > top)}"
+            f"{PUBLISHED_CENSUS[min(n, top)]['AG']:,} classes, too many to hold "
+            f"in memory; use a max order below {LARGE_ORDER_THRESHOLD}"
+        )
     got = _UNIVERSE_CACHE.get(n)
     if got is None:
         out: list[Magma] = []

@@ -205,6 +205,14 @@ def test_canon_prints_canonical_compact(capsys):
     assert canonical_form(m) == m
 
 
+def test_canon_refuses_orders_above_ten(capsys):
+    # Order 12 would need 12! - 1 cached relabelings; it is refused first.
+    code, out, err = run(capsys, "canon", "12:" + ",".join(["0"] * 144))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: canonical form of order 12") and err.count("\n") == 1
+
+
 def test_enumerate_count_only(capsys):
     code, out, _ = run(capsys, "enumerate", "--order", "3", "--count-only")
     assert code == 0
@@ -386,6 +394,29 @@ def test_verify_budget_zero_exits_three(capsys):
     assert code == 3
     assert out == ""
     assert err.startswith("partial: claim C1:")
+
+
+@pytest.mark.parametrize("argv, size", [
+    (("--max-order", "6"), "order 6 has 40,104,513"),
+    # table13, one of C13's witnesses, has order 8.
+    (("--claims", "C13", "--max-order", "8"), "order 8 has more than 40,104,513"),
+])
+def test_verify_refuses_universes_from_order_six(capsys, argv, size):
+    # The budget only bounds the run if the refusal is missing.
+    code, out, err = run(capsys, "verify", *argv, "--budget", "5")
+    assert code == 2
+    assert out == ""
+    assert err == (
+        f"error: the AG universe of {size} classes, too many to hold in memory; "
+        "use a max order below 6\n"
+    )
+
+
+def test_verify_witness_claim_at_order_six(capsys):
+    # C2's witness table has order 3, so no order-6 universe is built.
+    code, out, _ = run(capsys, "verify", "--claims", "C2", "--max-order", "6")
+    assert code == 0
+    assert out.splitlines()[-1] == "1/1 claims ok (max_order=6)"
 
 
 class _ClaimClock:

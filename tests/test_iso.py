@@ -104,3 +104,11 @@ def test_canonical_key_fields():
     assert Magma(key.order, key.table) == canonical_form(m)
     assert canonical_key(m) == canonical_form(m)
     assert type(key) is Magma
+
+
+def test_canonical_form_refuses_orders_above_ten():
+    # Refused before any relabeling is built: order 11 would cache 11! - 1.
+    m = Magma(11, (0,) * 121)
+    for call in (canonical_form, canonical_key, lambda x: are_isomorphic(x, x)):
+        with pytest.raises(ValueError, match="order 11"):
+            call(m)

@@ -3,6 +3,7 @@
 import ast
 import hashlib
 import random
+import re
 from collections import Counter
 from itertools import product
 from pathlib import Path
@@ -398,9 +399,9 @@ def test_law_compiler_hoists_names_and_skips():
         return _law_source(name, {**LAWS, **CLAIM_LAWS}[name])
 
     # ab and ba are bound above the innermost loop, where (ab)c = (ba)c
-    # holds for every c once ab == ba.
+    # holds for every c once the rows L[ab] and L[ba] are equal.
     assert "ab = t[a * n + b]" in source("left_commutative")
-    assert "if ab == ba: continue" in source("left_commutative")
+    assert "if L[ab] == L[ba]: continue" in source("left_commutative")
     assert "continue" not in source("right_commutative")
     # Innermost subterms get a name only when they occur twice.
     assert "cc = t[c * n + c]" in source("right_nuclear_square")
@@ -426,8 +427,8 @@ def test_law_compiler_hoists_names_and_skips():
         "    return None",
     ]
     # A four-variable law with d once on each side compares the two sides
-    # as functions of d, (ab)(cd) as L_ab after L_c, and scans d only
-    # where they differ.
+    # as functions of d, (ab)(cd) as L_ab after L_c, and skips the d-loop
+    # where they are equal.
     assert source("medial").splitlines() == [
         "def _check_medial(n, t):",
         "    L = [t[x * n:x * n + n] for x in range(n)]",
@@ -438,14 +439,14 @@ def test_law_compiler_hoists_names_and_skips():
         "            ab = t[a * n + b]",
         "            for c in range(n):",
         "                ac = t[a * n + c]",
-        "                if LL[ab][c] != LL[ac][b]:",
-        "                    for d in range(n):",
-        "                        if t[ab * n + t[c * n + d]] != t[ac * n + t[b * n + d]]:",
-        "                            return (a, b, c, d)",
+        "                if LL[ab][c] == LL[ac][b]: continue",
+        "                for d in range(n):",
+        "                    if t[ab * n + t[c * n + d]] != t[ac * n + t[b * n + d]]:",
+        "                        return (a, b, c, d)",
         "    return None",
     ]
-    assert "if LL[ab][c] != RR[ca][b]:" in source("paramedial")
-    assert "if LL[a][bc] != L[abc]:" in source("bol_star")
+    assert "if LL[ab][c] == RR[ca][b]: continue" in source("paramedial")
+    assert "if LL[a][bc] == L[abc]: continue" in source("bol_star")
     # The census predicates, the left invertive law and T1 (a hypothesis)
     # keep the plain loop nest.
     for name in ("cyclic_associative", "associative", "commutative", "ag", "T1"):
@@ -456,6 +457,35 @@ def test_law_compiler_hoists_names_and_skips():
     for bad in ("abc = a", "a(b = a", "ab) = a", "() = a", "ab = ba = ab", "ab", "bc = cb", "e = a"):
         with pytest.raises(ValueError):
             _law_source("bad", bad)
+
+
+def test_law_compiler_guards_exactly_the_short_chain_laws():
+    # The rule: a lone equation with no hypothesis whose last variable z
+    # occurs once on each side, and whose sides are each 1 to nvars - 2
+    # products deep above z, gets one "== ...: continue" guard at the end
+    # of the second-to-last loop, before the z-loop.
+    def depth(x, z):
+        return 0 if x == z else 1 + depth(x[1] if z in repr(x[1]) else x[0], z)
+
+    guarded = set()
+    for name, law in {**LAWS, **CLAIM_LAWS}.items():
+        hyps, _, concl = law.rpartition("->")
+        eqs = props._equations(concl)
+        nvars = len(set(law) & set("abcd"))
+        z = "abcd"[nvars - 1]
+        want = (not hyps and len(eqs) == 1
+                and all(repr(x).count(z) == 1 and 1 <= depth(x, z) <= nvars - 2
+                        for x in eqs[0]))
+        lines = _law_source(name, law).splitlines()
+        guards = [k for k, line in enumerate(lines)
+                  if re.fullmatch(r" *if [LR]+\[.+\] == [LR]+\[.+\]: continue", line)]
+        assert len(guards) == want, name
+        if want:
+            guarded.add(name)
+            k = guards[0]
+            assert lines[k].startswith(" " * 4 * nvars + "if "), name
+            assert lines[k + 1] == " " * 4 * nvars + f"for {z} in range(n):", name
+    assert guarded == {"left_commutative", "medial", "paramedial", "bol_star"}
 
 
 # Four-variable laws outside the catalog whose sides, as functions of d,

@@ -136,6 +136,15 @@ def test_witness_skips_universe_beyond_max_order():
     assert parts["table12"]["universe_matches"] >= 1
 
 
+def test_universes_from_order_six_are_refused():
+    from agkit import theorems
+
+    with pytest.raises(ValueError, match="order 6 has 40,104,513 classes"):
+        verify_claims(max_order=6, ids=["C1"])
+    with pytest.raises(ValueError, match="order 7 has more than 40,104,513 classes"):
+        theorems._ag_universe(7, None)
+
+
 def test_equivalence_claim_c16_scope():
     (result,) = verify_claims(max_order=4, ids=["C16"])
     assert result.status == "verified"
