@@ -6,7 +6,11 @@ when it equals its own minimal-image canonical form, so each isomorphism
 class is emitted exactly once, in canonical form, in increasing
 lexicographic order.  The tree is split into n**n independent work units,
 one per first table row, in lexicographic order of that row, for parallel
-and resumable runs; totals are deterministic for any job count.
+and resumable runs; totals are deterministic for any job count.  One
+function, _search, runs a unit; the first rows are generated as the units
+run, never listed, so a one-job run starts at once at every order.  The
+search keeps all n! relabelings, so orders above iso.MAX_CANON_ORDER are
+refused.
 """
 
 from __future__ import annotations
@@ -15,11 +19,12 @@ import os
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from itertools import product
-from typing import Callable, Optional
+from functools import partial
+from itertools import islice, product
+from typing import Callable
 
 from .core import Magma
-from .iso import _perm_data
+from .iso import MAX_CANON_ORDER, _perm_data
 from .props import CHECKERS
 
 # Orders at and above this are hours-scale; the CLI demands --allow-large.
@@ -65,11 +70,13 @@ class BudgetExceeded(RuntimeError):
     """Wall-clock budget ran out; partial progress is attached.
 
     A partition is one work unit: one of the n**n first table rows, in
-    lexicographic order.  The run ends at the first interrupted partition
-    in that order, for any mode and job count.  partial_count includes the
-    classes it had emitted, so a resume that re-runs partitions from
-    partitions_done onward re-counts that partition from scratch.  In
-    census mode partial_counts holds the census rows of the same classes.
+    lexicographic order.  partitions_total counts the units of the run (of
+    its slice under partition=), worked out without listing them.  The run
+    ends at the first interrupted partition in that order, for any mode
+    and job count.  partial_count includes the classes it had emitted, so
+    a resume that re-runs partitions from partitions_done onward re-counts
+    that partition from scratch.  In census mode partial_counts holds the
+    census rows of the same classes.
     """
 
     def __init__(
@@ -92,28 +99,31 @@ class BudgetExceeded(RuntimeError):
 
 
 class _DeadlineHit(Exception):
-    """Raised by _search with the number of classes it had emitted."""
+    """Raised inside _search when its deadline has passed."""
 
 
 def _search(
-    n: int,
-    emit: Optional[Callable[[tuple[int, ...]], None]],
-    first_row: tuple[int, ...],
-    *,
-    deadline: float | None = None,
-) -> int:
-    """Depth-first completion of the tables whose row 0 is first_row;
-    returns the number of classes emitted.
+    n: int, mode: str, wall_deadline: float | None, first_row: tuple[int, ...],
+) -> tuple:
+    """Run one work unit: the depth-first completion of the tables whose
+    row 0 is first_row.  Top-level, so process pools can pickle it.
+
+    mode is "tables", "census" or "count"; wall_deadline is a time.time()
+    value or None, converted here to the monotonic clock.  Returns
+    ("ok"|"partial", class_count, payload): "partial" when the deadline
+    passed, class_count the classes emitted until then, and payload the
+    table list in "tables" mode, the census accumulator in "census" mode,
+    else None.
 
     State: flat table with -1 for undecided cells, occ[v] listing the cells
     holding v, and an assignment trail for undo.  assign() enforces every
     instance of (ab)c = (cb)a that the new cell closes, recursing on cells
     whose value it forces.  A list of still-alive permutations is filtered
-    on entering each new row: a permutation whose relabeled image is
-    lexicographically larger on the decided prefix can never beat any
-    completion (dropped); one that is smaller beats every completion
-    (subtree pruned).  At a full table the survivors are automorphisms and
-    the table is its own canonical form.
+    on entering each new row, the full table counting as row n: a
+    permutation whose relabeled image is lexicographically larger on the
+    decided prefix can never beat any completion (dropped); one that is
+    smaller beats every completion (subtree pruned).  At a full table the
+    survivors are automorphisms and the table is its own canonical form.
 
     Each alive entry (p, src, cursor) carries the first cell its comparison
     has not passed: every cell before the cursor is decided and equal to its
@@ -134,6 +144,32 @@ def _search(
     and undo() clears it again before the next value.  Both propagation
     loops call assign() only on a cell they have just read as undecided.
     """
+    deadline = None
+    if wall_deadline is not None:
+        deadline = time.monotonic() + (wall_deadline - time.time())
+
+    if mode == "tables":
+        payload = []
+        emit = payload.append
+    elif mode == "census":
+        acc = payload = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
+        is_ca = CHECKERS["cyclic_associative"]
+        is_assoc = CHECKERS["associative"]
+        is_comm = CHECKERS["commutative"]
+
+        def emit(t: tuple[int, ...]) -> None:
+            ca = is_ca(n, t) is None
+            if ca:
+                acc[0] += 1
+            if is_assoc(n, t) is None:
+                acc[1] += 1
+                if ca:
+                    acc[2] += 1
+                    if is_comm(n, t) is not None:
+                        acc[3] += 1
+    else:
+        payload = emit = None
+
     size = n * n
     T = [-1] * size
     occ: list[list[int]] = [[] for _ in range(n)]
@@ -229,23 +265,20 @@ def _search(
         nonlocal count, nodes
         nodes += 1
         if deadline is not None and (nodes & 2047) == 1 and time.monotonic() >= deadline:
-            raise _DeadlineHit(count)
+            raise _DeadlineHit
         while idx < size and T[idx] >= 0:
             idx += 1
-        if idx == size:
-            final = filter_perms(alive)
-            if final is None:
-                return
-            count += 1
-            if emit is not None:
-                emit(tuple(T))
-            return
         row = idx // n
         if row >= filter_row:
             alive = filter_perms(alive)
             if alive is None:
                 return
             filter_row = row + 1
+        if idx == size:
+            count += 1
+            if emit is not None:
+                emit(tuple(T))
+            return
         for v in rng:
             mark = len(trail)
             if assign(idx, v):
@@ -254,59 +287,11 @@ def _search(
 
     for idx, v in enumerate(first_row):
         assign(idx, v)
-    dfs(0, _perm_data(n), 1)
-    return count
-
-
-def _work_unit(args) -> tuple:
-    """Run one work unit, the tables with one first row; picklable for
-    process pools.
-
-    Returns ("ok"|"partial", class_count, payload) with payload the table
-    list in "tables" mode, the census accumulator in "census" mode, else
-    None.
-    """
-    n, first_row, mode, wall_deadline = args
-    deadline = None
-    if wall_deadline is not None:
-        deadline = time.monotonic() + (wall_deadline - time.time())
-
-    if mode == "tables":
-        payload = []
-        emit = payload.append
-    elif mode == "census":
-        acc = payload = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
-        is_ca = CHECKERS["cyclic_associative"]
-        is_assoc = CHECKERS["associative"]
-        is_comm = CHECKERS["commutative"]
-
-        def emit(t: tuple[int, ...]) -> None:
-            ca = is_ca(n, t) is None
-            if ca:
-                acc[0] += 1
-            if is_assoc(n, t) is None:
-                acc[1] += 1
-                if ca:
-                    acc[2] += 1
-                    if is_comm(n, t) is not None:
-                        acc[3] += 1
-    else:
-        payload = emit = None
-
     try:
-        cnt = _search(n, emit, first_row, deadline=deadline)
-    except _DeadlineHit as hit:
-        return ("partial", hit.args[0], payload)
-    return ("ok", cnt, payload)
-
-
-def _parse_slice(partition: tuple[int, int] | None) -> slice:
-    if partition is None:
-        return slice(None)
-    i, k = partition
-    if k < 1 or not 1 <= i <= k:
-        raise ValueError(f"partition slice {i}/{k} is not valid")
-    return slice(i - 1, None, k)
+        dfs(0, _perm_data(n), 1)
+    except _DeadlineHit:
+        return ("partial", count, payload)
+    return ("ok", count, payload)
 
 
 def _run(
@@ -321,34 +306,43 @@ def _run(
 ) -> tuple[int, list[int]]:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
+    if n > MAX_CANON_ORDER:
+        raise ValueError(
+            f"the search at order {n} needs all {n}! relabelings in memory; "
+            f"orders above {MAX_CANON_ORDER} are refused"
+        )
+    i, k = partition or (1, 1)
+    if k < 1 or not 1 <= i <= k:
+        raise ValueError(f"partition slice {i}/{k} is not valid")
     wall_deadline = time.time() + budget if budget is not None else None
-    rows = list(product(range(n), repeat=n))[_parse_slice(partition)]
-    units = [(n, row, mode, wall_deadline) for row in rows]
+    units = len(range(i - 1, n ** n, k))
+    rows = islice(product(range(n), repeat=n), i - 1, None, k)
+    run_unit = partial(_search, n, mode, wall_deadline)
 
     total = 0
     agg = [0, 0, 0, 0]
     done = 0
     # A fork pool starts every worker it may use at the first submit.
-    workers = min(jobs, len(units), os.cpu_count() or 1)
+    workers = min(jobs, units, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = pool.map(_work_unit, units) if pool else map(_work_unit, units)
+        results = pool.map(run_unit, rows) if pool else map(run_unit, rows)
         for status, cnt, payload in results:
             total += cnt
             if mode == "census":
-                for i, v in enumerate(payload):
-                    agg[i] += v
+                for j, v in enumerate(payload):
+                    agg[j] += v
             elif mode == "tables" and sink is not None:
                 for t in payload:
                     sink(Magma(n, t))
             if status == "partial":
                 raise BudgetExceeded(
-                    n, total, done, len(units),
+                    n, total, done, units,
                     _census_counts(total, agg) if mode == "census" else None,
                 )
             done += 1
             if progress is not None:
-                progress(done, len(units), total)
+                progress(done, units, total)
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)

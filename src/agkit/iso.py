@@ -71,7 +71,7 @@ def _min_table(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(best)
 
 
-# Largest order canonical_form accepts.  _perm_data keeps all n! - 1
+# Largest order canonical_form and the enumeration search accept.  _perm_data keeps all n! - 1
 # relabelings with an n*n cell map each: 347 MiB measured at order 9, so
 # about 3.6 GiB at order 10 and 50 GB at order 11.
 MAX_CANON_ORDER = 10

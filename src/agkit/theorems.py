@@ -427,10 +427,9 @@ _UNIVERSE_CACHE: dict[int, tuple[Magma, ...]] = {}
 ALL_MAGMA_ORDER_CAP = 3
 
 
-def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
-    """The AG classes of order n, kept for the process.  From order
-    LARGE_ORDER_THRESHOLD on they are refused: the 40,104,513 classes of
-    order 6 alone would take about 26 GB as Magma objects."""
+def _refuse_large_universe(n: int) -> None:
+    """Raise ValueError from order LARGE_ORDER_THRESHOLD on: the 40,104,513
+    AG classes of order 6 alone would take about 26 GB as Magma objects."""
     if n >= LARGE_ORDER_THRESHOLD:
         top = max(PUBLISHED_CENSUS)
         raise ValueError(
@@ -438,6 +437,12 @@ def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
             f"{PUBLISHED_CENSUS[min(n, top)]['AG']:,} classes, too many to hold "
             f"in memory; use a max order below {LARGE_ORDER_THRESHOLD}"
         )
+
+
+def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
+    """The AG classes of order n, kept for the process; large orders are
+    refused by _refuse_large_universe."""
+    _refuse_large_universe(n)
     got = _UNIVERSE_CACHE.get(n)
     if got is None:
         out: list[Magma] = []
@@ -577,7 +582,9 @@ def verify_claims(
     ids selects a subset (registry order is kept); budget is one wall-clock
     deadline in seconds for the call, checked before each claim and bounding
     each universe enumeration; ClaimBudgetError names the claim it stopped
-    and carries the results of the claims finished before it.
+    and carries the results of the claims finished before it.  An AG
+    universe too large to hold that a selected claim would scan raises
+    ValueError before the first claim runs.
     """
     if ids is not None:
         unknown = [i for i in ids if i not in CLAIM_IDS]
@@ -590,6 +597,15 @@ def verify_claims(
     else:
         selected = list(CLAIMS)
     pool = _Pool(fixtures())
+    # The AG universe orders the claims will scan.
+    needed = set()
+    for claim in selected:
+        if claim.kind == "witness-exists":
+            needed.update(pool.fixmap[p.fixture].order for p in claim.parts)
+        else:
+            needed.update(range(1, max_order + 1))
+    for k in sorted(k for k in needed if k <= max_order):
+        _refuse_large_universe(k)
     deadline = None if budget is None else time.monotonic() + budget
     results = []
     for k, claim in enumerate(selected):

@@ -419,6 +419,28 @@ def test_verify_witness_claim_at_order_six(capsys):
     assert out.splitlines()[-1] == "1/1 claims ok (max_order=6)"
 
 
+def test_verify_refuses_before_enumerating_any_order(capsys, monkeypatch):
+    # C1 needs orders 1-6, so the order-6 refusal comes before any claim runs.
+    from agkit import theorems
+
+    calls = []
+    monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
+    monkeypatch.setattr(theorems, "enumerate_ag", lambda n, *a, **kw: calls.append(n))
+    code, out, err = run(capsys, "verify", "--max-order", "6")
+    assert (code, out, calls) == (2, "", [])
+    assert err.startswith("error: the AG universe of order 6 has") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("command", ["enumerate", "classify"])
+@pytest.mark.parametrize("order", ["11", "12"])
+def test_search_refuses_orders_above_ten(capsys, command, order):
+    # The search would hold all n! relabelings: about 50 GB at order 11.
+    code, out, err = run(capsys, command, "--order", order, "--allow-large")
+    assert code == 2
+    assert out == ""
+    assert err.startswith(f"error: the search at order {order}") and err.count("\n") == 1
+
+
 class _ClaimClock:
     """time.monotonic reads 0.0 for its first 4 calls and 1e9 after that:
     with warm universes, the deadline and the checks before C1-C3 pass."""

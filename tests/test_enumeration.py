@@ -5,6 +5,7 @@ import itertools
 import math
 import os
 import time
+import tracemalloc
 from functools import lru_cache
 
 import pytest
@@ -193,6 +194,22 @@ def test_budget_zero_stops_in_the_first_unit():
         classify_census(5, budget=0)
     assert (info.value.partitions_done, info.value.partitions_total) == (0, 3125)
     assert list(info.value.partial_counts) == list(ROW_ORDER)
+
+
+# The units of slice 2/5 at order 7 are the first rows of rank 1, 6, 11, ...
+@pytest.mark.parametrize("partition, total", [(None, 7 ** 7), ((2, 5), len(range(1, 7 ** 7, 5)))])
+def test_units_are_counted_not_listed(partition, total):
+    # At order 7 a list of the 823,543 first rows would take about 150 MiB;
+    # the rows are generated as the units run, so only the first is made.
+    tracemalloc.start()
+    try:
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_ag(7, budget=0, partition=partition)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert (info.value.partitions_done, info.value.partitions_total) == (0, total)
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_budget_exceeded_parallel():
