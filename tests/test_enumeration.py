@@ -42,6 +42,10 @@ STREAM_DIGESTS = {
     5: "6b7c8a40bd32dd2045952b3ac304ff7edcbd6e1f10201d875e806c982e647277",
 }
 
+# The order-6 unit with first row (0,0,0,0,1,1), of lexicographic rank 7, is
+# slice 8 of 6**6: its class count and the SHA-256 of its stream.
+ORDER6_UNIT = (2422, "ad836f56c2f80f83bfd1d77dfba24a3b1a3af88b335a57ddac2a3354e96d550a")
+
 # Class counts of the non-empty order-5 first-row partitions (0-based index).
 ORDER5_PARTITION_COUNTS = {
     0: 31141, 1: 128, 4: 290, 6: 2, 7: 3, 18: 91, 19: 30, 62: 177, 64: 15,
@@ -126,6 +130,14 @@ def test_stream_digest(n):
     assert hashlib.sha256(text.encode()).hexdigest() == STREAM_DIGESTS[n]
 
 
+def test_order6_unit_digest():
+    # Order 6 is where the watch map has most to do: 719 relabelings.
+    stream = []
+    enumerate_ag(6, stream.append, partition=(8, 6 ** 6))
+    text = "".join(",".join(map(str, m.table)) + "\n" for m in stream)
+    assert (len(stream), hashlib.sha256(text.encode()).hexdigest()) == ORDER6_UNIT
+
+
 def test_order5_partition_counts():
     _, counts = _sequential_run(5)
     assert len(counts) == 3125
@@ -194,6 +206,17 @@ def test_budget_zero_stops_in_the_first_unit():
         classify_census(5, budget=0)
     assert (info.value.partitions_done, info.value.partitions_total) == (0, 3125)
     assert list(info.value.partial_counts) == list(ROW_ORDER)
+
+
+def test_spent_budget_builds_no_relabelings(monkeypatch):
+    # Building the 8! - 1 relabelings takes most of a second; a run whose
+    # budget is already spent must stop before it starts.
+    built = []
+    monkeypatch.setattr(enumeration, "_perm_data", built.append)
+    with pytest.raises(BudgetExceeded) as info:
+        enumerate_ag(8, budget=0)
+    assert (info.value.partitions_done, info.value.partitions_total) == (0, 8 ** 8)
+    assert built == []
 
 
 # The units of slice 2/5 at order 7 are the first rows of rank 1, 6, 11, ...

@@ -3,7 +3,7 @@
 import itertools
 
 import pytest
-from hypothesis import given
+from hypothesis import given, strategies as st
 
 from agkit import (
     Magma,
@@ -15,8 +15,9 @@ from agkit import (
     parse_magma,
     relabel,
 )
+from agkit.props import CHECKERS
 
-from conftest import brute_isomorphic, magma_perm_pairs, magmas, naive_canon
+from conftest import ag_universe, brute_isomorphic, magma_perm_pairs, magmas, naive_canon
 
 
 def test_relabel_definition():
@@ -53,6 +54,23 @@ def test_relabel_rejects_non_bijections():
 def test_relabel_preserves_classification(pair):
     m, p = pair
     assert classify(relabel(m, p)).flags == classify(m).flags
+
+
+# Random magmas of orders 1-5, and AG classes of order 4, on which some laws hold.
+_checked_magmas = st.one_of(
+    magmas(max_order=5), st.integers(0, 330).map(lambda i: ag_universe(4)[i]),
+)
+
+
+@given(_checked_magmas.flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m.order)))))
+def test_every_checker_is_relabel_invariant(pair):
+    # The census checks each class on its copy relabeled by the reversal.
+    m, p = pair
+    n = m.order
+    for q in (p, range(n - 1, -1, -1)):
+        image = relabel(m, q).table
+        for name, check in CHECKERS.items():
+            assert (check(n, image) is None) == (check(n, m.table) is None), (name, m, tuple(q))
 
 
 @given(magma_perm_pairs())
