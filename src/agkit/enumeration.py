@@ -145,10 +145,10 @@ def _search(
 
     The census laws do not depend on the labels.  A canonical table's first
     rows are mostly 0 and seldom break a law, so the census checks the copy
-    relabeled by the reversal (n-1, ..., 0), the last of _perm_data(n),
-    whose scans from row 0 meet the failing instances first: 0.57 s on the
-    canonical order-5 classes, 0.17 s on the reversed copies (Python 3.11,
-    one core of a shared 2-core host).
+    relabeled by the reversal (n-1, ..., 0), whose scans from row 0 meet
+    the failing instances first.  The reversal is its own inverse, so it
+    maps cell pos to size - 1 - pos and value v to n - 1 - v, and the copy
+    is [n - 1 - v for v in reversed(t)]; at order 1 that is t itself.
 
     Every first row is consistent, so it is replayed unchecked.  While
     only row 0 is decided, assign() of (0, q) = v meets one decided cell
@@ -162,27 +162,18 @@ def _search(
     and undo() clears it again before the next value.  Both propagation
     loops call assign() only on a cell they have just read as undecided.
     """
-    payload = [] if mode == "tables" else [0, 0, 0, 0] if mode == "census" else None
-    deadline = None
-    if wall_deadline is not None:
-        left = wall_deadline - time.time()
-        if left <= 0:
-            return ("partial", 0, payload)
-        deadline = time.monotonic() + left
-    perms = _perm_data(n)
-
     if mode == "tables":
+        payload = []
         emit = payload.append
     elif mode == "census":
-        acc = payload  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
+        payload = acc = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
         is_ca = CHECKERS["cyclic_associative"]
         is_assoc = CHECKERS["associative"]
         is_comm = CHECKERS["commutative"]
-        # Order 1 has no reversal; its one table is its own copy.
-        rp, rsrc, _ = perms[-1] if perms else ((0,), (0,), 0)
+        top = n - 1
 
         def emit(t: tuple[int, ...]) -> None:
-            t = [rp[t[s]] for s in rsrc]
+            t = [top - v for v in reversed(t)]
             ca = is_ca(n, t) is None
             if ca:
                 acc[0] += 1
@@ -193,7 +184,14 @@ def _search(
                     if is_comm(n, t) is not None:
                         acc[3] += 1
     else:
-        emit = None
+        payload = emit = None
+
+    deadline = None
+    if wall_deadline is not None:
+        left = wall_deadline - time.time()
+        if left <= 0:
+            return ("partial", 0, payload)
+        deadline = time.monotonic() + left
 
     size = n * n
     T = [-1] * size
@@ -325,7 +323,7 @@ def _search(
     for idx, v in enumerate(first_row):
         assign(idx, v)
     try:
-        dfs(0, {0: perms}, 0)
+        dfs(0, {0: _perm_data(n)}, 0)
     except _DeadlineHit:
         return ("partial", count, payload)
     return ("ok", count, payload)
@@ -352,8 +350,11 @@ def _run(
     if k < 1 or not 1 <= i <= k:
         raise ValueError(f"partition slice {i}/{k} is not valid")
     wall_deadline = time.time() + budget if budget is not None else None
-    units = len(range(i - 1, n ** n, k))
-    rows = islice(product(range(n), repeat=n), i - 1, None, k)
+    all_units = n ** n
+    units = len(range(i - 1, all_units, k))
+    # islice takes machine-size ints only; a start past the last unit is an
+    # empty slice either way, and a step past it yields the start alone.
+    rows = islice(product(range(n), repeat=n), min(i - 1, all_units), None, min(k, all_units))
     run_unit = partial(_search, n, mode, wall_deadline)
 
     total = 0
@@ -369,7 +370,7 @@ def _run(
             if mode == "census":
                 for j, v in enumerate(payload):
                     agg[j] += v
-            elif mode == "tables" and sink is not None:
+            elif mode == "tables":
                 for t in payload:
                     sink(Magma(n, t))
             if status == "partial":

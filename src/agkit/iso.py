@@ -10,10 +10,19 @@ partition-refinement machinery is used; larger orders are refused.
 from __future__ import annotations
 
 from functools import lru_cache
-from itertools import permutations
+from itertools import islice, permutations
 from typing import Sequence
 
 from .core import Magma
+
+
+def _cell_map(n: int, p: Sequence[int]) -> tuple[int, ...]:
+    """Preimage cells of the relabeling by p: image[pos] = p[t[src[pos]]] with
+    src[pos] = q[pos // n] * n + q[pos % n] for the inverse q of p."""
+    q = [0] * n
+    for i, v in enumerate(p):
+        q[v] = i
+    return tuple(q[pos // n] * n + q[pos % n] for pos in range(n * n))
 
 
 def relabel(m: Magma, p: Sequence[int]) -> Magma:
@@ -22,34 +31,14 @@ def relabel(m: Magma, p: Sequence[int]) -> Magma:
     if sorted(p) != list(range(n)):
         raise ValueError(f"{tuple(p)!r} is not a permutation of 0..{n - 1}")
     t = m.table
-    out = [0] * (n * n)
-    for a in range(n):
-        base = a * n
-        pa = p[a] * n
-        for b in range(n):
-            out[pa + p[b]] = p[t[base + b]]
-    return Magma(n, tuple(out))
+    return Magma(n, tuple(p[t[s]] for s in _cell_map(n, p)))
 
 
 @lru_cache(maxsize=None)
 def _perm_data(n: int) -> tuple:
-    """Non-identity permutations as (p, src, 0), src a precomputed cell map.
-
-    For permutation p with inverse q, the relabeled image satisfies
-    image[pos] = p[table[src[pos]]] with src[pos] the preimage cell.  The
-    trailing 0 is the enumeration search's scan cursor at the root.
-    """
-    size = n * n
-    out = []
-    for p in permutations(range(n)):
-        if all(p[i] == i for i in range(n)):
-            continue
-        q = [0] * n
-        for i, v in enumerate(p):
-            q[v] = i
-        src = tuple(q[pos // n] * n + q[pos % n] for pos in range(size))
-        out.append((p, src, 0))
-    return tuple(out)
+    """(p, _cell_map(n, p), 0) for each permutation but the identity, which
+    permutations() yields first; 0 is the enumeration search's root cursor."""
+    return tuple((p, _cell_map(n, p), 0) for p in islice(permutations(range(n)), 1, None))
 
 
 def _min_table(n: int, t: tuple[int, ...]) -> tuple[int, ...]:

@@ -272,6 +272,12 @@ def test_enumerate_bad_partition(capsys):
     assert "partition" in err
 
 
+@pytest.mark.parametrize("i, count", [(1, 2), (2, 1), (10 ** 20, 0)])
+def test_enumerate_partition_numbers_past_machine_size(capsys, i, count):
+    argv = ("enumerate", "--order", "2", "--count-only", "--partition", f"{i}/{10 ** 20}")
+    assert run(capsys, *argv) == (0, f"{count}\n", "")
+
+
 def test_enumerate_budget_exit_three(capsys):
     code, _, err = run(
         capsys, "enumerate", "--order", "5", "--count-only", "--budget", "0.2",

@@ -187,6 +187,15 @@ def test_partition_validation():
         enumerate_ag(3, partition=(1, 0))
 
 
+@pytest.mark.parametrize("i, count", [(1, 2), (2, 1), (10 ** 20, 0)])
+def test_partition_numbers_past_machine_size(i, count):
+    # Slice i of 10**20 at order 2 is unit i - 1 of four, or none past them.
+    got: list = []
+    assert enumerate_ag(2, got.append, partition=(i, 10 ** 20)) == count
+    assert len(got) == count
+    assert enumerate_ag(2, partition=(i, 10 ** 20)) == count
+
+
 def test_budget_exceeded_sequential():
     with pytest.raises(BudgetExceeded) as info:
         enumerate_ag(5, budget=0.2)

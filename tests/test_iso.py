@@ -1,6 +1,7 @@
 """Relabeling, canonical forms, and isomorphism against brute force."""
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,13 +12,16 @@ from agkit import (
     canonical_form,
     canonical_key,
     classify,
+    iso,
     mul,
     parse_magma,
     relabel,
 )
 from agkit.props import CHECKERS
 
-from conftest import ag_universe, brute_isomorphic, magma_perm_pairs, magmas, naive_canon
+from conftest import (
+    ag_universe, brute_isomorphic, magma_perm_pairs, magmas, naive_canon, naive_relabel,
+)
 
 
 def test_relabel_definition():
@@ -48,6 +52,30 @@ def test_relabel_rejects_non_bijections():
         relabel(m, (0,))
     with pytest.raises(ValueError):
         relabel(m, (0, 2))
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_perm_data_cell_maps_give_relabel_images(n):
+    # Every non-identity permutation in permutations() order, with the cell
+    # map src of image[pos] = p[t[src[pos]]] and a root cursor of 0.
+    entries = iso._perm_data(n)
+    assert [p for p, _, _ in entries] == list(itertools.permutations(range(n)))[1:]
+    rng = random.Random(n)
+    samples = list(ag_universe(n)[:3]) + [
+        Magma(n, tuple(rng.randrange(n) for _ in range(n * n))) for _ in range(3)
+    ]
+    for m in samples:
+        for p, src, cursor in entries:
+            image = tuple(p[m.table[s]] for s in src)
+            assert (cursor, relabel(m, p).table) == (0, image) == (0, naive_relabel(m.table, n, p))
+
+
+@given(magmas(max_order=6))
+def test_reversal_image_is_the_reversed_complement(m):
+    # The census view: relabeling by (n-1, ..., 0) maps cell pos to
+    # size - 1 - pos and value v to n - 1 - v.
+    n = m.order
+    assert relabel(m, range(n - 1, -1, -1)).table == tuple(n - 1 - v for v in reversed(m.table))
 
 
 @given(magma_perm_pairs())
