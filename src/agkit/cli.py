@@ -13,7 +13,6 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
-import os
 import re
 import sys
 from typing import Sequence
@@ -63,11 +62,6 @@ def _ascii_seconds(raw: str) -> float | None:
     """As _ascii_int, with at most one '.'; float() also takes 1e3 and inf."""
     raw = raw.strip()
     return float(raw) if re.fullmatch(r"[0-9]+\.?[0-9]*|\.[0-9]+", raw) else None
-
-
-def _default_jobs() -> int:
-    jobs = _ascii_int(os.environ.get("AGKIT_JOBS", "1"))
-    return max(1, jobs) if jobs is not None else 1
 
 
 def _require_allow_large(order: int, allow_large: bool) -> None:
@@ -379,7 +373,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--count-only", action="store_true")
     p.add_argument("--out", help="write magma lines to this file instead of stdout")
     p.add_argument("--allow-large", action="store_true")
-    p.add_argument("--jobs", default=_default_jobs())
+    p.add_argument("--jobs", default=1)
     p.add_argument("--budget", help=_BUDGET_HELP)
     p.add_argument("--partition", help="i/k: run the i-th of k round-robin slices")
     p.add_argument("--progress", action="store_true")
@@ -387,7 +381,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("classify", help="census of one order against the reference table")
     p.add_argument("--order", required=True)
-    p.add_argument("--jobs", default=_default_jobs())
+    p.add_argument("--jobs", default=1)
     p.add_argument("--budget", help=_BUDGET_HELP)
     p.add_argument("--allow-large", action="store_true")
     p.add_argument("--json", action="store_true")

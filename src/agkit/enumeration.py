@@ -19,6 +19,7 @@ are refused.
 
 from __future__ import annotations
 
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -28,7 +29,7 @@ from itertools import islice, product
 from typing import Callable
 
 from .core import Magma
-from .iso import MAX_CANON_ORDER, _perm_data
+from .iso import _perm_data, _refuse_order
 from .props import CHECKERS
 
 # Orders at and above this are hours-scale; the CLI demands --allow-large.
@@ -107,13 +108,13 @@ class _DeadlineHit(Exception):
 
 
 def _search(
-    n: int, mode: str, wall_deadline: float | None, first_row: tuple[int, ...],
+    n: int, mode: str, wall_deadline: float, first_row: tuple[int, ...],
 ) -> tuple:
     """Run one work unit: the depth-first completion of the tables whose
     row 0 is first_row.  Top-level, so process pools can pickle it.
 
     mode is "tables", "census" or "count"; wall_deadline is a time.time()
-    value or None, converted here to the monotonic clock.  Returns
+    value or math.inf, converted here to the monotonic clock.  Returns
     ("ok"|"partial", class_count, payload): "partial" when the deadline
     passed, class_count the classes emitted until then, and payload the
     table list in "tables" mode, the census accumulator in "census" mode,
@@ -186,12 +187,10 @@ def _search(
     else:
         payload = emit = None
 
-    deadline = None
-    if wall_deadline is not None:
-        left = wall_deadline - time.time()
-        if left <= 0:
-            return ("partial", 0, payload)
-        deadline = time.monotonic() + left
+    left = wall_deadline - time.time()
+    if left <= 0:
+        return ("partial", 0, payload)
+    deadline = time.monotonic() + left
 
     size = n * n
     T = [-1] * size
@@ -302,7 +301,7 @@ def _search(
     def dfs(idx: int, watch: dict, mark: int) -> None:
         nonlocal count, nodes
         nodes += 1
-        if deadline is not None and (nodes & 2047) == 1 and time.monotonic() >= deadline:
+        if (nodes & 2047) == 1 and time.monotonic() >= deadline:
             raise _DeadlineHit
         watch = filter_perms(watch, mark)
         if watch is None:
@@ -341,15 +340,11 @@ def _run(
 ) -> tuple[int, list[int]]:
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
-    if n > MAX_CANON_ORDER:
-        raise ValueError(
-            f"the search at order {n} needs all {n}! relabelings in memory; "
-            f"orders above {MAX_CANON_ORDER} are refused"
-        )
+    _refuse_order(n, f"the search at order {n}")
     i, k = partition or (1, 1)
     if k < 1 or not 1 <= i <= k:
         raise ValueError(f"partition slice {i}/{k} is not valid")
-    wall_deadline = time.time() + budget if budget is not None else None
+    wall_deadline = time.time() + budget if budget is not None else math.inf
     all_units = n ** n
     units = len(range(i - 1, all_units, k))
     # islice takes machine-size ints only; a start past the last unit is an

@@ -66,15 +66,17 @@ def _min_table(n: int, t: tuple[int, ...]) -> tuple[int, ...]:
 MAX_CANON_ORDER = 10
 
 
+def _refuse_order(n: int, what: str) -> None:
+    """Raise ValueError, naming what needs the relabelings, when n > MAX_CANON_ORDER."""
+    if n > MAX_CANON_ORDER:
+        raise ValueError(f"{what} needs all {n}! relabelings in memory; orders above {MAX_CANON_ORDER} are refused")
+
+
 def canonical_form(m: Magma) -> Magma:
     """The canonical representative of m's isomorphism class: the least
     row-major table over all relabelings.  Orders above MAX_CANON_ORDER
     raise ValueError."""
-    if m.order > MAX_CANON_ORDER:
-        raise ValueError(
-            f"canonical form of order {m.order} needs all {m.order}! relabelings "
-            f"in memory; orders above {MAX_CANON_ORDER} are refused"
-        )
+    _refuse_order(m.order, f"canonical form of order {m.order}")
     return Magma(m.order, _min_table(m.order, m.table))
 
 

@@ -597,13 +597,13 @@ def verify_claims(
     else:
         selected = list(CLAIMS)
     pool = _Pool(fixtures())
-    # The AG universe orders the claims will scan.
-    needed = set()
-    for claim in selected:
-        if claim.kind == "witness-exists":
-            needed.update(pool.fixmap[p.fixture].order for p in claim.parts)
-        else:
-            needed.update(range(1, max_order + 1))
+    # A witness claim scans its fixtures' orders, any other claim every order
+    # up to max_order: of those, min(max_order, LARGE_ORDER_THRESHOLD) is the
+    # least that could be refused, so no range of orders is listed.
+    needed = {pool.fixmap[p.fixture].order
+              for c in selected if c.kind == "witness-exists" for p in c.parts}
+    if any(c.kind != "witness-exists" for c in selected):
+        needed.add(min(max_order, LARGE_ORDER_THRESHOLD))
     for k in sorted(k for k in needed if k <= max_order):
         _refuse_large_universe(k)
     deadline = None if budget is None else time.monotonic() + budget

@@ -1,6 +1,7 @@
 """Fixture corpus integrity and the claim verification engine."""
 
 import hashlib
+import tracemalloc
 from collections import Counter
 
 import pytest
@@ -143,6 +144,26 @@ def test_universes_from_order_six_are_refused():
         verify_claims(max_order=6, ids=["C1"])
     with pytest.raises(ValueError, match="order 7 has more than 40,104,513 classes"):
         theorems._ag_universe(7, None)
+
+
+@pytest.mark.parametrize("max_order", [10**6, 10**18])
+def test_huge_max_order_is_refused_without_listing_orders(max_order):
+    tracemalloc.start()
+    try:
+        with pytest.raises(ValueError, match="order 6 has 40,104,513 classes"):
+            verify_claims(max_order=max_order)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2**20
+
+
+def test_witness_claims_at_a_huge_max_order():
+    # A witness claim scans its fixtures' orders only: 8 for C13, 3 for C2.
+    with pytest.raises(ValueError, match="order 8 has more than 40,104,513 classes"):
+        verify_claims(max_order=10**18, ids=["C13"])
+    (result,) = verify_claims(max_order=10**18, ids=["C2"])
+    assert result.status == "witness-found"
 
 
 def test_equivalence_claim_c16_scope():
