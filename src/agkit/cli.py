@@ -5,7 +5,8 @@ arguments accept an inline "n:e1,...", a file path, or "-" for standard
 input.  Human-readable text labels elements 1-based; JSON output uses the
 0-based encoding throughout.  Exit codes: 0 success / verdict true, 1
 verdict false or reference mismatch, 2 usage or input error, 3 budget
-exceeded (partial output is labeled).
+exceeded (partial output is labeled), 141 standard output closed by its
+reader (128 + SIGPIPE; nothing is printed).
 """
 
 from __future__ import annotations
@@ -13,6 +14,7 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import re
 import sys
 from typing import Sequence
@@ -403,6 +405,10 @@ def main(argv: Sequence[str] | None = None) -> int:
     try:
         _check_bounds(args)
         return args.func(args)
+    except BrokenPipeError:
+        # The reader of stdout has gone: the shutdown flush goes to devnull.
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 141
     except BudgetExceeded as exc:
         print(f"partial: {exc}", file=sys.stderr)
         return 3

@@ -7,14 +7,16 @@ class is emitted exactly once, in canonical form, in increasing
 lexicographic order.  Canonicity is filtered at every node through a watch
 map that rechecks only the relabelings waiting on a cell the node decided;
 at a completed table the relabelings left are its automorphisms.  The
-census tests its laws on each class relabeled by the reversal, where
-failing instances come first.  The tree is split into n**n independent work
-units, one per first table row, in lexicographic order of that row, for
-parallel and resumable runs; totals are deterministic for any job count.
-One function, _search, runs a unit; the first rows are generated as the
-units run, never listed, so a one-job run starts at once at every order.
-The search keeps all n! relabelings, so orders above iso.MAX_CANON_ORDER
-are refused.
+tree is split into n**n independent work units, one per first table row,
+in lexicographic order of that row, for parallel and resumable runs;
+totals are deterministic for any job count.  One function, _search, runs
+a unit and knows only AG tables: what a unit keeps of its classes is a
+collector's, _tables (the table list) or _census (the census tally, which
+tests its laws on each class relabeled by the reversal, where failing
+instances come first), and _run merges the units' payloads in unit order.
+The first rows are generated as the units run, never listed, so a one-job
+run starts at once at every order.  The search keeps all n! relabelings,
+so orders above iso.MAX_CANON_ORDER are refused.
 """
 
 from __future__ import annotations
@@ -77,21 +79,14 @@ class BudgetExceeded(RuntimeError):
     A partition is one work unit: one of the n**n first table rows, in
     lexicographic order.  partitions_total counts the units of the run (of
     its slice under partition=), worked out without listing them.  The run
-    ends at the first interrupted partition in that order, for any mode
-    and job count.  partial_count includes the classes it had emitted, so
-    a resume that re-runs partitions from partitions_done onward re-counts
-    that partition from scratch.  In census mode partial_counts holds the
-    census rows of the same classes.
+    ends at the first interrupted partition in that order, for any
+    collector and job count.  partial_count includes the classes it had
+    emitted, so a resume that re-runs partitions from partitions_done
+    onward re-counts that partition from scratch.  partial_counts is None
+    here; classify_census sets it to the census rows of the same classes.
     """
 
-    def __init__(
-        self,
-        order: int,
-        partial_count: int,
-        partitions_done: int,
-        partitions_total: int,
-        partial_counts: dict[str, int] | None = None,
-    ):
+    def __init__(self, order: int, partial_count: int, partitions_done: int, partitions_total: int):
         super().__init__(
             f"budget exceeded at order {order}: {partial_count} classes counted, "
             f"{partitions_done}/{partitions_total} partitions complete"
@@ -100,7 +95,7 @@ class BudgetExceeded(RuntimeError):
         self.partial_count = partial_count
         self.partitions_done = partitions_done
         self.partitions_total = partitions_total
-        self.partial_counts = partial_counts
+        self.partial_counts: dict[str, int] | None = None
 
 
 class _DeadlineHit(Exception):
@@ -108,19 +103,21 @@ class _DeadlineHit(Exception):
 
 
 def _search(
-    n: int, mode: str, wall_deadline: float, first_row: tuple[int, ...],
+    n: int, collect: Callable | None, wall_deadline: float, first_row: tuple[int, ...],
 ) -> tuple:
     """Run one work unit: the depth-first completion of the tables whose
     row 0 is first_row.  Top-level, so process pools can pickle it.
 
-    mode is "tables", "census" or "count"; wall_deadline is a time.time()
-    value or math.inf, converted here to the monotonic clock.  Returns
+    collect, a top-level function or None, is called once as collect(n)
+    and returns (emit, payload): emit(t) receives each class's table tuple
+    t, and payload is what the unit returns for the run to merge.  With no
+    collect the unit only counts.  wall_deadline is a time.time() value or
+    math.inf, converted here to the monotonic clock.  Returns
     ("ok"|"partial", class_count, payload): "partial" when the deadline
-    passed, class_count the classes emitted until then, and payload the
-    table list in "tables" mode, the census accumulator in "census" mode,
-    else None.  The deadline is tested once before the n! - 1 relabelings
-    are built (most of a second at order 8), so a spent budget builds none;
-    a build already under way is not interrupted.
+    passed, class_count the classes emitted until then.  The deadline is
+    tested once before the n! - 1 relabelings are built (most of a second
+    at order 8), so a spent budget builds none; a build already under way
+    is not interrupted.
 
     State: flat table with -1 for undecided cells, occ[v] listing the cells
     holding v, and an assignment trail for undo.  assign() enforces every
@@ -144,13 +141,6 @@ def _search(
     bucket is left: the non-identity automorphisms, so
     |Aut| = len(watch.get(-1, ())) + 1, and the table is canonical.
 
-    The census laws do not depend on the labels.  A canonical table's first
-    rows are mostly 0 and seldom break a law, so the census checks the copy
-    relabeled by the reversal (n-1, ..., 0), whose scans from row 0 meet
-    the failing instances first.  The reversal is its own inverse, so it
-    maps cell pos to size - 1 - pos and value v to n - 1 - v, and the copy
-    is [n - 1 - v for v in reversed(t)]; at order 1 that is t itself.
-
     Every first row is consistent, so it is replayed unchecked.  While
     only row 0 is decided, assign() of (0, q) = v meets one decided cell
     in its first loop, (0, q) itself, and both sides of that instance are
@@ -163,30 +153,7 @@ def _search(
     and undo() clears it again before the next value.  Both propagation
     loops call assign() only on a cell they have just read as undecided.
     """
-    if mode == "tables":
-        payload = []
-        emit = payload.append
-    elif mode == "census":
-        payload = acc = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
-        is_ca = CHECKERS["cyclic_associative"]
-        is_assoc = CHECKERS["associative"]
-        is_comm = CHECKERS["commutative"]
-        top = n - 1
-
-        def emit(t: tuple[int, ...]) -> None:
-            t = [top - v for v in reversed(t)]
-            ca = is_ca(n, t) is None
-            if ca:
-                acc[0] += 1
-            if is_assoc(n, t) is None:
-                acc[1] += 1
-                if ca:
-                    acc[2] += 1
-                    if is_comm(n, t) is not None:
-                        acc[3] += 1
-    else:
-        payload = emit = None
-
+    emit, payload = collect(n) if collect is not None else (None, None)
     left = wall_deadline - time.time()
     if left <= 0:
         return ("partial", 0, payload)
@@ -330,14 +297,20 @@ def _search(
 
 def _run(
     n: int,
-    mode: str,
+    collect: Callable | None,
+    merge: Callable | None,
     *,
     jobs: int = 1,
     budget: float | None = None,
     partition: tuple[int, int] | None = None,
     progress: Callable[[int, int, int], None] | None = None,
-    sink: Callable[[Magma], None] | None = None,
-) -> tuple[int, list[int]]:
+) -> int:
+    """Run the units of order n and return the class count.
+
+    Each unit runs _search with collect, and merge, when given, receives
+    each unit's payload once, in unit order, the interrupted unit's
+    included, before BudgetExceeded is raised.
+    """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
     _refuse_order(n, f"the search at order {n}")
@@ -350,10 +323,9 @@ def _run(
     # islice takes machine-size ints only; a start past the last unit is an
     # empty slice either way, and a step past it yields the start alone.
     rows = islice(product(range(n), repeat=n), min(i - 1, all_units), None, min(k, all_units))
-    run_unit = partial(_search, n, mode, wall_deadline)
+    run_unit = partial(_search, n, collect, wall_deadline)
 
     total = 0
-    agg = [0, 0, 0, 0]
     done = 0
     # A fork pool starts every worker it may use at the first submit.
     workers = min(jobs, units, os.cpu_count() or 1)
@@ -362,24 +334,62 @@ def _run(
         results = pool.map(run_unit, rows) if pool else map(run_unit, rows)
         for status, cnt, payload in results:
             total += cnt
-            if mode == "census":
-                for j, v in enumerate(payload):
-                    agg[j] += v
-            elif mode == "tables":
-                for t in payload:
-                    sink(Magma(n, t))
+            if merge is not None:
+                merge(payload)
             if status == "partial":
-                raise BudgetExceeded(
-                    n, total, done, units,
-                    _census_counts(total, agg) if mode == "census" else None,
-                )
+                raise BudgetExceeded(n, total, done, units)
             done += 1
             if progress is not None:
                 progress(done, units, total)
     finally:
         if pool is not None:
             pool.shutdown(wait=False, cancel_futures=True)
-    return total, agg
+    return total
+
+
+def _tables(n: int) -> tuple[Callable, list]:
+    """Collector that keeps each class's table tuple, in emission order."""
+    tables: list[tuple[int, ...]] = []
+    return tables.append, tables
+
+
+def _census(n: int) -> tuple[Callable, list[int]]:
+    """Collector that keeps the census tally of the unit's classes: how
+    many are CA, associative, both, and both but not commutative.
+
+    The census laws do not depend on the labels.  A canonical table's first
+    rows are mostly 0 and seldom break a law, so the tally checks the copy
+    relabeled by the reversal (n-1, ..., 0), whose scans from row 0 meet
+    the failing instances first.  The reversal is its own inverse, so it
+    maps cell pos to size - 1 - pos and value v to n - 1 - v, and the copy
+    is [n - 1 - v for v in reversed(t)]; at order 1 that is t itself.
+    """
+    acc = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
+    is_ca = CHECKERS["cyclic_associative"]
+    is_assoc = CHECKERS["associative"]
+    is_comm = CHECKERS["commutative"]
+    top = n - 1
+
+    def emit(t: tuple[int, ...]) -> None:
+        t = [top - v for v in reversed(t)]
+        ca = is_ca(n, t) is None
+        if ca:
+            acc[0] += 1
+        if is_assoc(n, t) is None:
+            acc[1] += 1
+            if ca:
+                acc[2] += 1
+                if is_comm(n, t) is not None:
+                    acc[3] += 1
+
+    return emit, acc
+
+
+def _census_counts(total: int, acc: list[int]) -> dict[str, int]:
+    ca, assoc, ca_assoc, anc = acc
+    return dict(zip(ROW_ORDER, (
+        total, ca, assoc, total - assoc, ca - ca_assoc, assoc - ca_assoc, ca_assoc, anc,
+    )))
 
 
 def enumerate_ag(
@@ -395,27 +405,23 @@ def enumerate_ag(
 
     sink, when given, receives each class exactly once as a canonical Magma,
     in a deterministic order independent of the job count (capped at the CPU
-    count).  budget is one wall-clock deadline in seconds for the whole run;
-    on overrun BudgetExceeded carries the partial count, the classes the
-    sink has received.  The search runs in n**n work units, one per first
-    table row, in lexicographic order of that row.  partition=(i, k)
-    restricts the run to the i-th of k round-robin slices of the units
-    (1-based): the first rows of lexicographic rank i-1, i-1+k, i-1+2k, ...;
-    slice counts sum to the full count.
+    count); each unit's tables reach it when the unit is done.  budget is
+    one wall-clock deadline in seconds for the whole run; on overrun
+    BudgetExceeded carries the partial count, the classes the sink has
+    received.  The search runs in n**n work units, one per first table row,
+    in lexicographic order of that row.  partition=(i, k) restricts the run
+    to the i-th of k round-robin slices of the units (1-based): the first
+    rows of lexicographic rank i-1, i-1+k, i-1+2k, ...; slice counts sum to
+    the full count.
     """
-    mode = "tables" if sink is not None else "count"
-    total, _ = _run(
-        n, mode, jobs=jobs, budget=budget, partition=partition,
-        progress=progress, sink=sink,
+    def to_sink(tables: list[tuple[int, ...]]) -> None:
+        for t in tables:
+            sink(Magma(n, t))
+
+    collect, merge = (_tables, to_sink) if sink is not None else (None, None)
+    return _run(
+        n, collect, merge, jobs=jobs, budget=budget, partition=partition, progress=progress,
     )
-    return total
-
-
-def _census_counts(total: int, acc: list[int]) -> dict[str, int]:
-    ca, assoc, ca_assoc, anc = acc
-    return dict(zip(ROW_ORDER, (
-        total, ca, assoc, total - assoc, ca - ca_assoc, assoc - ca_assoc, ca_assoc, anc,
-    )))
 
 
 def classify_census(
@@ -423,8 +429,20 @@ def classify_census(
 ) -> EnumerationReport:
     """Count the census classes among AG-groupoids of order n.
 
-    Class predicates are the props checkers; the counts satisfy the
-    arithmetic identities relating the eight ROW_ORDER rows.
+    Each unit's _census tally is summed.  Class predicates are the props
+    checkers; the counts satisfy the arithmetic identities relating the
+    eight ROW_ORDER rows.  On overrun the BudgetExceeded carries, in
+    partial_counts, the rows of the classes counted so far.
     """
-    total, acc = _run(n, "census", jobs=jobs, budget=budget)
+    acc = [0, 0, 0, 0]
+
+    def merge(tally: list[int]) -> None:
+        for j, v in enumerate(tally):
+            acc[j] += v
+
+    try:
+        total = _run(n, _census, merge, jobs=jobs, budget=budget)
+    except BudgetExceeded as exc:
+        exc.partial_counts = _census_counts(exc.partial_count, acc)
+        raise
     return EnumerationReport(n, _census_counts(total, acc))

@@ -2,6 +2,9 @@
 
 import ast
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -535,3 +538,19 @@ def test_agkit_reads_no_environment_variable():
             else:
                 continue
             assert not names & {"environ", "getenv"}, f"{path.name}:{node.lineno}"
+
+
+def test_closed_stdout_exits_141_quietly():
+    # The order-5 stream is about 2 MB, far past a 64 KiB pipe buffer, so
+    # the writer meets the closed pipe while the classes are still coming.
+    path = [str(Path(cli.__file__).resolve().parents[1]), os.environ.get("PYTHONPATH")]
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, path))}
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "agkit", "enumerate", "--order", "5"],
+        stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env,
+    )
+    assert proc.stdout.readline().startswith(b"5:")
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert (proc.wait(timeout=60), err) == (141, b"")

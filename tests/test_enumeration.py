@@ -1,5 +1,6 @@
 """Enumeration counts, determinism, partitions, budgets, and the census."""
 
+import ast
 import hashlib
 import itertools
 import math
@@ -7,6 +8,7 @@ import os
 import time
 import tracemalloc
 from functools import lru_cache
+from pathlib import Path
 
 import pytest
 
@@ -244,6 +246,17 @@ def test_units_are_counted_not_listed(partition, total):
     assert peak < 16 * 2 ** 20, peak
 
 
+def test_census_budget_zero_with_workers_carries_zero_rows():
+    # The tallies are merged in the parent process, so a pool run stopped
+    # before its first class still carries every row, each at zero.
+    with pytest.raises(BudgetExceeded) as info:
+        classify_census(5, jobs=2, budget=0)
+    exc = info.value
+    assert (exc.partitions_done, exc.partitions_total) == (0, 3125)
+    assert exc.partial_count == 0
+    assert exc.partial_counts == dict.fromkeys(ROW_ORDER, 0)
+
+
 def test_budget_exceeded_parallel():
     with pytest.raises(BudgetExceeded):
         enumerate_ag(5, jobs=2, budget=0.2)
@@ -284,6 +297,25 @@ def test_partial_count_is_the_same_in_every_mode(monkeypatch):
     assert len(set(counts.values())) == 1 and counts["count"] > 0, counts
     assert len(tables) == counts["count"]
     assert partial["census"].partial_counts["AG"] == counts["count"]
+
+
+def test_search_kernel_knows_only_ag_tables():
+    # What a unit keeps of its classes belongs to its collector: the unit
+    # search and the unit runner name no checker, build no Magma and test
+    # no mode.
+    tree = ast.parse(Path(enumeration.__file__).read_text(encoding="utf-8"))
+    kernel = [
+        node for node in tree.body
+        if isinstance(node, ast.FunctionDef) and node.name in {"_search", "_run"}
+    ]
+    assert len(kernel) == 2
+    for fn in kernel:
+        for node in ast.walk(fn):
+            if isinstance(node, ast.Name):
+                assert node.id not in {"CHECKERS", "Magma"}, f"{fn.name}:{node.lineno}"
+            elif isinstance(node, ast.Compare):
+                values = {c.value for c in ast.walk(node) if isinstance(c, ast.Constant)}
+                assert not values & {"count", "tables", "census"}, f"{fn.name}:{node.lineno}"
 
 
 def test_worker_processes_are_capped(monkeypatch):
