@@ -8,15 +8,17 @@ lexicographic order.  Canonicity is filtered at every node through a watch
 map that rechecks only the relabelings waiting on a cell the node decided;
 at a completed table the relabelings left are its automorphisms.  The
 tree is split into n**n independent work units, one per first table row,
-in lexicographic order of that row, for parallel and resumable runs;
-totals are deterministic for any job count.  One function, _search, runs
-a unit and knows only AG tables: what a unit keeps of its classes is a
-collector's, _tables (the table list) or _census (the census tally, which
-tests its laws on each class relabeled by the reversal, where failing
-instances come first), and _run merges the units' payloads in unit order.
-The first rows are generated as the units run, never listed, so a one-job
-run starts at once at every order.  The search keeps all n! relabelings,
-so orders above iso.MAX_CANON_ORDER are refused.
+for parallel and resumable runs; totals are deterministic for any job
+count.  A unit is its rank r, 0 <= r < n**n: its first row is the n
+base-n digits of r, so ranks follow the lexicographic order of first
+rows.  A run is a range of ranks, never listed, so a one-job run starts
+at once at every order.  One function, _search, runs a unit and knows
+only AG tables: what a unit keeps of its classes is a collector's,
+_tables (the table list) or _census (the census tally, which tests its
+laws on each class relabeled by the reversal, where failing instances
+come first), and _run merges the units' payloads in unit order.  The
+search keeps all n! relabelings, so orders above iso.MAX_CANON_ORDER are
+refused.
 """
 
 from __future__ import annotations
@@ -27,7 +29,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from functools import partial
-from itertools import islice, product
 from typing import Callable
 
 from .core import Magma
@@ -76,14 +77,17 @@ class EnumerationReport:
 class BudgetExceeded(RuntimeError):
     """Wall-clock budget ran out; partial progress is attached.
 
-    A partition is one work unit: one of the n**n first table rows, in
-    lexicographic order.  partitions_total counts the units of the run (of
-    its slice under partition=), worked out without listing them.  The run
-    ends at the first interrupted partition in that order, for any
-    collector and job count.  partial_count includes the classes it had
-    emitted, so a resume that re-runs partitions from partitions_done
-    onward re-counts that partition from scratch.  partial_counts is None
-    here; classify_census sets it to the census rows of the same classes.
+    A partition is one work unit, a rank of the n**n first table rows in
+    lexicographic order, and a run is a range of ranks: range(0, n**n),
+    or range(i - 1, n**n, k) for the slice partition=(i, k).
+    partitions_total is the length of that range.  The run ends at the
+    first interrupted unit in range order, for any collector and job
+    count, so partitions_done counts the finished units at the start of
+    the range, and a resume would run ranks[partitions_done:]; no API
+    starts a run there yet.  partial_count includes the classes the
+    interrupted unit had emitted, which such a resume counts again.
+    partial_counts is None here; classify_census sets it to the census
+    rows of the same classes.
     """
 
     def __init__(self, order: int, partial_count: int, partitions_done: int, partitions_total: int):
@@ -102,11 +106,12 @@ class _DeadlineHit(Exception):
     """Raised inside _search when its deadline has passed."""
 
 
-def _search(
-    n: int, collect: Callable | None, wall_deadline: float, first_row: tuple[int, ...],
-) -> tuple:
+def _search(n: int, collect: Callable | None, wall_deadline: float, rank: int) -> tuple:
     """Run one work unit: the depth-first completion of the tables whose
-    row 0 is first_row.  Top-level, so process pools can pickle it.
+    row 0 is the n base-n digits of rank, most significant first, so
+    ranks follow the lexicographic order of first rows (rank 7 at order 6
+    is the row (0, 0, 0, 0, 1, 1)).  Top-level, so process pools can
+    pickle it.
 
     collect, a top-level function or None, is called once as collect(n)
     and returns (emit, payload): emit(t) receives each class's table tuple
@@ -286,8 +291,8 @@ def _search(
                 dfs(idx + 1, watch, mark)
             undo(mark)
 
-    for idx, v in enumerate(first_row):
-        assign(idx, v)
+    for idx in range(n):
+        assign(idx, rank // n ** (n - 1 - idx) % n)
     try:
         dfs(0, {0: _perm_data(n)}, 0)
     except _DeadlineHit:
@@ -307,9 +312,11 @@ def _run(
 ) -> int:
     """Run the units of order n and return the class count.
 
-    Each unit runs _search with collect, and merge, when given, receives
-    each unit's payload once, in unit order, the interrupted unit's
-    included, before BudgetExceeded is raised.
+    The run is the range of unit ranks of its slice, range(i - 1, n**n, k)
+    for partition=(i, k); its length is the unit count, and the ranks are
+    mapped through _search with collect.  merge, when given, receives each
+    unit's payload once, in rank order, the interrupted unit's included,
+    before BudgetExceeded is raised.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -318,11 +325,8 @@ def _run(
     if k < 1 or not 1 <= i <= k:
         raise ValueError(f"partition slice {i}/{k} is not valid")
     wall_deadline = time.time() + budget if budget is not None else math.inf
-    all_units = n ** n
-    units = len(range(i - 1, all_units, k))
-    # islice takes machine-size ints only; a start past the last unit is an
-    # empty slice either way, and a step past it yields the start alone.
-    rows = islice(product(range(n), repeat=n), min(i - 1, all_units), None, min(k, all_units))
+    ranks = range(i - 1, n ** n, k)
+    units = len(ranks)
     run_unit = partial(_search, n, collect, wall_deadline)
 
     total = 0
@@ -331,7 +335,7 @@ def _run(
     workers = min(jobs, units, os.cpu_count() or 1)
     pool = ProcessPoolExecutor(max_workers=workers) if workers > 1 else None
     try:
-        results = pool.map(run_unit, rows) if pool else map(run_unit, rows)
+        results = pool.map(run_unit, ranks) if pool else map(run_unit, ranks)
         for status, cnt, payload in results:
             total += cnt
             if merge is not None:

@@ -17,6 +17,7 @@ over a whole scope at once, so no atom runs twice on one magma.
 
 from __future__ import annotations
 
+import math
 import time
 from dataclasses import dataclass
 from functools import lru_cache
@@ -439,15 +440,15 @@ def _refuse_large_universe(n: int) -> None:
         )
 
 
-def _ag_universe(n: int, deadline: float | None) -> tuple[Magma, ...]:
-    """The AG classes of order n, kept for the process; large orders are
+def _ag_universe(n: int, deadline: float) -> tuple[Magma, ...]:
+    """The AG classes of order n, kept for the process and enumerated by
+    deadline, a time.monotonic() value or math.inf; large orders are
     refused by _refuse_large_universe."""
     _refuse_large_universe(n)
     got = _UNIVERSE_CACHE.get(n)
     if got is None:
         out: list[Magma] = []
-        budget = None if deadline is None else deadline - time.monotonic()
-        enumerate_ag(n, out.append, budget=budget)
+        enumerate_ag(n, out.append, budget=deadline - time.monotonic())
         got = _UNIVERSE_CACHE[n] = tuple(out)
     return got
 
@@ -458,32 +459,37 @@ def _all_magmas(n: int) -> tuple[Magma, ...]:
 
 
 class _Pool(AtomColumns):
-    """The magmas one verify_claims call scans, with their atom columns.
+    """One verify_claims run: the magmas it scans, with their atom columns,
+    the bundled tables by name, its max_order and its time.monotonic()
+    deadline (math.inf for none).
 
     Each source (the AG classes of one order, the all-magma tables of one
     order, the bundled tables) is appended once, when a claim first asks
-    for it, so an enumeration runs under that claim's deadline.
+    for it, so an enumeration runs under the run's deadline.
     """
 
-    def __init__(self, fixmap: dict[str, Magma]) -> None:
+    def __init__(
+        self, fixmap: dict[str, Magma], max_order: int, deadline: float = math.inf,
+    ) -> None:
         super().__init__()
         self.fixmap = fixmap
+        self.max_order = max_order
+        self.deadline = deadline
         self._sources: dict[tuple[str, int], range] = {}
 
-    def source(self, kind: str, n: int = 0, deadline: float | None = None) -> range:
+    def source(self, kind: str, n: int = 0) -> range:
         """The indices of source kind ("ag", "all" or "fixtures") at order n."""
         got = self._sources.get((kind, n))
         if got is None:
-            magmas = (_ag_universe(n, deadline) if kind == "ag" else
+            magmas = (_ag_universe(n, self.deadline) if kind == "ag" else
                       _all_magmas(n) if kind == "all" else self.fixmap.values())
             got = self._sources[kind, n] = self.extend(magmas)
         return got
 
 
-def _implication_scope(
-    part: Implication, max_order: int, deadline: float | None, pool: _Pool,
-) -> tuple[list[int], str]:
-    ranges = [pool.source("ag", k, deadline) for k in range(1, max_order + 1)]
+def _implication_scope(part: Implication, pool: _Pool) -> tuple[list[int], str]:
+    max_order = pool.max_order
+    ranges = [pool.source("ag", k) for k in range(1, max_order + 1)]
     scope = f"AG classes of order <= {max_order} plus bundled tables"
     if part.universe == "all":
         cap = min(ALL_MAGMA_ORDER_CAP, max_order)
@@ -499,13 +505,11 @@ def _implication_scope(
     return indices, scope
 
 
-def _run_implication(
-    claim: Claim, max_order: int, deadline: float | None, pool: _Pool,
-) -> ClaimResult:
+def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
     checked = 0
     scope = ""
     for k, part in enumerate(claim.parts):
-        indices, scope = _implication_scope(part, max_order, deadline, pool)
+        indices, scope = _implication_scope(part, pool)
         hits = pool.select(parse_property_expr(part.premise), indices)
         holds = set(pool.select(parse_property_expr(part.conclusion), hits))
         bad = next((i for i in hits if i not in holds), None)
@@ -522,9 +526,7 @@ def _run_implication(
     )
 
 
-def _witness_part_report(
-    part: WitnessSpec, max_order: int, deadline: float | None, pool: _Pool,
-) -> dict:
+def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
     i = pool.source("fixtures")[list(pool.fixmap).index(part.fixture)]
     m = pool.magmas[i]
     expr = parse_property_expr(part.expr)
@@ -547,23 +549,21 @@ def _witness_part_report(
         "falsifying": falsifying,
         "universe_matches": None,
     }
-    if m.order <= max_order:
-        universe = pool.source("ag", m.order, deadline)
+    if m.order <= pool.max_order:
+        universe = pool.source("ag", m.order)
         report["universe_matches"] = len(pool.select(expr, universe))
     return report
 
 
-def _run_witness(
-    claim: Claim, max_order: int, deadline: float | None, pool: _Pool,
-) -> ClaimResult:
-    parts = [_witness_part_report(p, max_order, deadline, pool) for p in claim.parts]
+def _run_witness(claim: Claim, pool: _Pool) -> ClaimResult:
+    parts = [_witness_part_report(p, pool) for p in claim.parts]
     ok = all(
         p["satisfied"] and (p["universe_matches"] is None or p["universe_matches"] >= 1)
         for p in parts
     )
     scope = (
         f"bundled tables, plus the enumerated universe at each fixture's "
-        f"order when within max_order={max_order}"
+        f"order when within max_order={pool.max_order}"
     )
     return ClaimResult(
         claim.id, claim.kind, "witness-found" if ok else "witness-missing",
@@ -596,26 +596,27 @@ def verify_claims(
         selected = [c for c in CLAIMS if c.id in wanted]
     else:
         selected = list(CLAIMS)
-    pool = _Pool(fixtures())
+    fixmap = fixtures()
     # A witness claim scans its fixtures' orders, any other claim every order
     # up to max_order: of those, min(max_order, LARGE_ORDER_THRESHOLD) is the
     # least that could be refused, so no range of orders is listed.
-    needed = {pool.fixmap[p.fixture].order
+    needed = {fixmap[p.fixture].order
               for c in selected if c.kind == "witness-exists" for p in c.parts}
     if any(c.kind != "witness-exists" for c in selected):
         needed.add(min(max_order, LARGE_ORDER_THRESHOLD))
     for k in sorted(k for k in needed if k <= max_order):
         _refuse_large_universe(k)
-    deadline = None if budget is None else time.monotonic() + budget
+    deadline = math.inf if budget is None else time.monotonic() + budget
+    pool = _Pool(fixmap, max_order, deadline)
     results = []
     for k, claim in enumerate(selected):
-        if deadline is not None and time.monotonic() >= deadline:
+        if time.monotonic() >= deadline:
             raise ClaimBudgetError(
                 claim.id, f"budget exceeded after {k} of {len(selected)} claims", results
             )
         run = _run_witness if claim.kind == "witness-exists" else _run_implication
         try:
-            results.append(run(claim, max_order, deadline, pool))
+            results.append(run(claim, pool))
         except BudgetExceeded as exc:
             raise ClaimBudgetError(claim.id, str(exc), results) from None
     return results

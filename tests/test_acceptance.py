@@ -60,8 +60,7 @@ def test_criterion_1_census_reproduction_orders_2_to_5():
     reason="order-6 census is hours-scale; set AGKIT_ALLOW_LARGE=1 to run",
 )
 def test_criterion_2_order_six_stretch():
-    jobs = int(os.environ.get("AGKIT_JOBS", str(os.cpu_count() or 1)))
-    counts = classify_census(6, jobs=jobs).counts
+    counts = classify_census(6, jobs=os.cpu_count() or 1).counts
     assert counts["AG"] == 40104513
     assert counts["CA"] == 9068
     assert counts["associative ∧ ¬CA"] == 7

@@ -37,6 +37,33 @@ def test_check_order_one_trivial(capsys):
     assert out.strip() == "true"
 
 
+def test_check_expr_false_exits_one(capsys):
+    code, out, _ = run(capsys, "check", "3:0,0,0,0,0,0,0,1,0", "--expr", "cyclic_associative")
+    assert code == 1
+    assert out == "false\n"
+
+
+def test_check_file_props_and_expr_false_exits_one(tmp_path, capsys):
+    path = tmp_path / "in.txt"
+    path.write_text("3:0,0,0,0,1,0,0,0,2\n3:0,0,0,0,0,0,0,1,0\n")
+    code, out, _ = run(
+        capsys, "check", str(path), "--props", "band", "--expr", "cyclic_associative",
+    )
+    assert code == 1
+    assert out.splitlines() == [
+        "magma 1: band: true",
+        "magma 1: cyclic_associative: true",
+        "magma 2: band: false  fails at (2) (1-based)",
+        "magma 2: cyclic_associative: false",
+    ]
+
+
+def test_check_expr_unclosed_group_exits_two(capsys):
+    code, out, err = run(capsys, "check", "1:0", "--expr", "(band band)")
+    assert (code, out) == (2, "")
+    assert err == "error: expected ')' at token 3 in '(band band)'\n"
+
+
 def test_check_multiple_props_and_witness(capsys):
     code, out, _ = run(
         capsys, "check", "3:0,0,0,0,0,0,0,1,0",
@@ -487,6 +514,45 @@ def test_verify_budget_prints_the_finished_claims(capsys, monkeypatch, json_out)
         lines = out.splitlines()
         assert [line.split()[0] for line in lines] == ["C1", "C2", "C3"]
         assert lines[0].startswith("C1 implication: verified  every cyclic")
+
+
+class _UniverseClock:
+    """time.monotonic reads 0.0 for its first 2 calls and 1e9 after that:
+    the deadline and the check before C1 pass, and the order-1 universe
+    is then enumerated with a spent budget."""
+
+    def __init__(self):
+        self.calls = 0
+
+    def monotonic(self):
+        self.calls += 1
+        return 0.0 if self.calls <= 2 else 1e9
+
+
+_UNIVERSE_STOP = (
+    "claim C1: budget exceeded at order 1: 0 classes counted, 0/1 partitions complete"
+)
+
+
+def test_verify_budget_stops_inside_a_universe_enumeration(monkeypatch):
+    from agkit import theorems
+
+    monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
+    monkeypatch.setattr(theorems, "time", _UniverseClock())
+    with pytest.raises(theorems.ClaimBudgetError) as info:
+        theorems.verify_claims(5, ["C1"], budget=100)
+    assert (info.value.claim_id, info.value.results) == ("C1", [])
+    assert str(info.value) == _UNIVERSE_STOP
+
+
+def test_verify_budget_inside_a_universe_enumeration_exits_three(capsys, monkeypatch):
+    from agkit import theorems
+
+    monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
+    monkeypatch.setattr(theorems, "time", _UniverseClock())
+    code, out, err = run(capsys, "verify", "--claims", "C1", "--max-order", "5", "--budget", "100")
+    assert (code, out) == (3, "")
+    assert err == f"partial: {_UNIVERSE_STOP}\n"
 
 
 def test_verify_unknown_claim(capsys):

@@ -206,7 +206,7 @@ def test_claim_laws_match_oracle():
 
 
 def test_expression_errors():
-    for bad in ("", "ag &", "& ag", "ag | (band", "ag banana", "nope", "ag @ band"):
+    for bad in ("", "ag &", "& ag", "ag | (band", "ag banana", "nope", "ag @ band", "(band band)"):
         with pytest.raises(UnknownPropertyError):
             parse_property_expr(bad)
 

@@ -212,7 +212,7 @@ def test_scoped_implication_reports_counterexample(law):
 
     bogus = Claim("X2", "substructure", f"every AG-groupoid satisfies {law}",
                   (Implication("ag", law, within="ag"),))
-    result = _run_implication(bogus, 4, None, _Pool({}))
+    result = _run_implication(bogus, _Pool({}, 4))
     assert result.status == "counterexample"
     assert result.scope == "ag magmas among AG classes of order <= 4 plus bundled tables"
     assert set(result.evidence) == {"part", "magma"}
@@ -229,7 +229,7 @@ def test_implication_counterexample_detection():
         "X1", "implication", "every AG-groupoid is a band",
         (Implication("ag", "band"),),
     )
-    result = _run_implication(bogus, 3, None, _Pool({}))
+    result = _run_implication(bogus, _Pool({}, 3))
     assert result.status == "counterexample"
     m = parse_magma(result.evidence["magma"])
     assert check_property(m, "ag").holds
