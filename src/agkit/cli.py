@@ -260,14 +260,12 @@ def _parse_partition(raw: str | None) -> tuple[int, int] | None:
 
 def _cmd_classify(args: argparse.Namespace) -> int:
     _require_allow_large(args.order, args.allow_large)
+    stop = None
     try:
-        report = classify_census(args.order, jobs=args.jobs, budget=args.budget)
-        counts = report.counts
-        partial = False
+        counts = classify_census(args.order, jobs=args.jobs, budget=args.budget).counts
     except BudgetExceeded as exc:
-        counts = exc.partial_counts
-        partial = True
-        print(f"partial: {exc}", file=sys.stderr)
+        counts, stop = exc.partial_counts, exc
+    partial = stop is not None
 
     reference = PUBLISHED_CENSUS.get(args.order)
     rows = []
@@ -309,7 +307,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
                 line += f"  [{row['note']}]"
             print(line)
     if partial:
-        return 3
+        raise stop
     return 1 if any_fail else 0
 
 
@@ -319,23 +317,22 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         ids = [c.strip() for c in args.claims.split(",") if c.strip()]
         if not ids:
             raise ValueError(f"--claims {args.claims!r} names no claim id")
-    partial = None
+    stop = None
     try:
         results = verify_claims(args.max_order, ids, budget=args.budget)
     except ClaimBudgetError as exc:
-        results, partial = exc.results, exc
+        results, stop = exc.results, exc
     if args.json:
         print(json.dumps([dataclasses.asdict(r) for r in results], ensure_ascii=False))
     else:
         for r in results:
             tag = " [external premise]" if r.external_premise else ""
             print(f"{r.id} {r.kind}: {r.status}{tag}  {r.statement}")
-        if partial is None:
+        if stop is None:
             ok = sum(1 for r in results if r.ok)
             print(f"{ok}/{len(results)} claims ok (max_order={args.max_order})")
-    if partial is not None:
-        print(f"partial: {partial}", file=sys.stderr)
-        return 3
+    if stop is not None:
+        raise stop
     return 0 if all(r.ok for r in results) else 1
 
 
@@ -409,7 +406,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The reader of stdout has gone: the shutdown flush goes to devnull.
         os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
         return 141
-    except BudgetExceeded as exc:
+    except (BudgetExceeded, ClaimBudgetError) as exc:
+        # The one budget exit: a command prints its partial output first.
         print(f"partial: {exc}", file=sys.stderr)
         return 3
     except (OSError, ValueError) as exc:

@@ -75,7 +75,10 @@ class EnumerationReport:
 
 
 class BudgetExceeded(RuntimeError):
-    """Wall-clock budget ran out; partial progress is attached.
+    """The budget ran out; partial progress is attached.
+
+    The budget is seconds of elapsed time on the monotonic clock, so a
+    step of the system clock does not move the stop.
 
     A partition is one work unit, a rank of the n**n first table rows in
     lexicographic order, and a run is a range of ranks: range(0, n**n),
@@ -106,7 +109,7 @@ class _DeadlineHit(Exception):
     """Raised inside _search when its deadline has passed."""
 
 
-def _search(n: int, collect: Callable | None, wall_deadline: float, rank: int) -> tuple:
+def _search(n: int, collect: Callable | None, deadline: float, rank: int) -> tuple:
     """Run one work unit: the depth-first completion of the tables whose
     row 0 is the n base-n digits of rank, most significant first, so
     ranks follow the lexicographic order of first rows (rank 7 at order 6
@@ -116,8 +119,10 @@ def _search(n: int, collect: Callable | None, wall_deadline: float, rank: int) -
     collect, a top-level function or None, is called once as collect(n)
     and returns (emit, payload): emit(t) receives each class's table tuple
     t, and payload is what the unit returns for the run to merge.  With no
-    collect the unit only counts.  wall_deadline is a time.time() value or
-    math.inf, converted here to the monotonic clock.  Returns
+    collect the unit only counts.  deadline is a time.monotonic() value,
+    or math.inf for none; a pool worker runs on the parent's host, where
+    the monotonic clock is system-wide, so the parent's deadline holds in
+    the worker.  Returns
     ("ok"|"partial", class_count, payload): "partial" when the deadline
     passed, class_count the classes emitted until then.  The deadline is
     tested once before the n! - 1 relabelings are built (most of a second
@@ -159,10 +164,8 @@ def _search(n: int, collect: Callable | None, wall_deadline: float, rank: int) -
     loops call assign() only on a cell they have just read as undecided.
     """
     emit, payload = collect(n) if collect is not None else (None, None)
-    left = wall_deadline - time.time()
-    if left <= 0:
+    if time.monotonic() >= deadline:
         return ("partial", 0, payload)
-    deadline = time.monotonic() + left
 
     size = n * n
     T = [-1] * size
@@ -314,9 +317,10 @@ def _run(
 
     The run is the range of unit ranks of its slice, range(i - 1, n**n, k)
     for partition=(i, k); its length is the unit count, and the ranks are
-    mapped through _search with collect.  merge, when given, receives each
-    unit's payload once, in rank order, the interrupted unit's included,
-    before BudgetExceeded is raised.
+    mapped through _search with collect and one time.monotonic() deadline,
+    budget seconds from the start (math.inf with no budget).  merge, when
+    given, receives each unit's payload once, in rank order, the
+    interrupted unit's included, before BudgetExceeded is raised.
     """
     if n < 1:
         raise ValueError(f"order must be >= 1, got {n}")
@@ -324,10 +328,10 @@ def _run(
     i, k = partition or (1, 1)
     if k < 1 or not 1 <= i <= k:
         raise ValueError(f"partition slice {i}/{k} is not valid")
-    wall_deadline = time.time() + budget if budget is not None else math.inf
+    deadline = time.monotonic() + budget if budget is not None else math.inf
     ranks = range(i - 1, n ** n, k)
     units = len(ranks)
-    run_unit = partial(_search, n, collect, wall_deadline)
+    run_unit = partial(_search, n, collect, deadline)
 
     total = 0
     done = 0
@@ -410,7 +414,8 @@ def enumerate_ag(
     sink, when given, receives each class exactly once as a canonical Magma,
     in a deterministic order independent of the job count (capped at the CPU
     count); each unit's tables reach it when the unit is done.  budget is
-    one wall-clock deadline in seconds for the whole run; on overrun
+    one deadline in seconds for the whole run, measured on the monotonic
+    clock, so setting the system clock does not move it; on overrun
     BudgetExceeded carries the partial count, the classes the sink has
     received.  The search runs in n**n work units, one per first table row,
     in lexicographic order of that row.  partition=(i, k) restricts the run

@@ -579,12 +579,12 @@ def verify_claims(
 ) -> list[ClaimResult]:
     """Check claims over universes enumerated up to max_order.
 
-    ids selects a subset (registry order is kept); budget is one wall-clock
-    deadline in seconds for the call, checked before each claim and bounding
-    each universe enumeration; ClaimBudgetError names the claim it stopped
-    and carries the results of the claims finished before it.  An AG
-    universe too large to hold that a selected claim would scan raises
-    ValueError before the first claim runs.
+    ids selects a subset (registry order is kept); budget is one deadline
+    in seconds for the call on the monotonic clock, checked before each
+    claim and bounding each universe enumeration; ClaimBudgetError names
+    the claim it stopped and carries the results of the claims finished
+    before it.  An AG universe too large to hold that a selected claim
+    would scan raises ValueError before the first claim runs.
     """
     if ids is not None:
         unknown = [i for i in ids if i not in CLAIM_IDS]

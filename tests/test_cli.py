@@ -1,6 +1,8 @@
 """End-to-end command-line behavior via in-process invocation."""
 
 import ast
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -594,7 +596,8 @@ def test_text_output_is_deterministic(capsys):
 
 
 def test_agkit_reads_no_environment_variable():
-    # A run is set by its arguments alone: the job count comes from --jobs.
+    # A run is set by its arguments alone: the job count comes from --jobs,
+    # and the stop from --budget on the monotonic clock, never time.time.
     for path in sorted(Path(cli.__file__).parent.glob("*.py")):
         for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
             if isinstance(node, ast.Attribute):
@@ -603,7 +606,24 @@ def test_agkit_reads_no_environment_variable():
                 names = {alias.name for alias in node.names}
             else:
                 continue
-            assert not names & {"environ", "getenv"}, f"{path.name}:{node.lineno}"
+            assert not names & {"environ", "getenv", "time"}, f"{path.name}:{node.lineno}"
+
+
+@pytest.mark.parametrize("argv", [
+    ("enumerate", "--order", "5"),
+    ("classify", "--order", "5"),
+    ("verify", "--max-order", "3"),
+], ids=["enumerate", "classify", "verify"])
+def test_partial_line_comes_last(argv):
+    # A stopped command writes its partial output first; the one budget
+    # exit in main writes the partial: line after it.
+    both = io.StringIO()
+    with contextlib.redirect_stdout(both), contextlib.redirect_stderr(both):
+        code = main([*argv, "--budget", "0"])
+    lines = both.getvalue().splitlines()
+    assert code == 3
+    assert sum(line.startswith("partial: ") for line in lines) == 1, lines
+    assert lines[-1].startswith("partial: "), lines
 
 
 def test_closed_stdout_exits_141_quietly():

@@ -269,14 +269,36 @@ def test_budget_beyond_any_timeout_runs_to_completion():
 class _StepClock:
     """time.monotonic reads 0.0 for its first 3 calls and 1e9 after that."""
 
-    time = staticmethod(time.time)
-
     def __init__(self):
         self.calls = 0
 
     def monotonic(self):
         self.calls += 1
         return 0.0 if self.calls <= 3 else 1e9
+
+
+class _SteppingWallClock:
+    """time.monotonic is the real clock; time.time steps one day back, then
+    one day forward, at alternate reads, as a system clock being set."""
+
+    monotonic = staticmethod(time.monotonic)
+
+    def __init__(self):
+        self.reads = 0
+
+    def time(self):
+        self.reads += 1
+        return time.time() + (-86400 if self.reads % 2 else 86400)
+
+
+def test_a_wall_clock_step_does_not_move_the_stop(monkeypatch):
+    # The budget is measured on the monotonic clock alone, so setting the
+    # system clock during a run neither spends nor stretches it.  Forked
+    # pool workers inherit the patched clock.
+    monkeypatch.setattr(enumeration, "time", _SteppingWallClock())
+    assert enumerate_ag(4, budget=100) == 331
+    assert classify_census(4, budget=100).counts["CA"] == 64
+    assert enumerate_ag(3, jobs=2, budget=100) == 20
 
 
 def test_partial_count_is_the_same_in_every_mode(monkeypatch):

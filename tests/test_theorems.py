@@ -1,6 +1,7 @@
 """Fixture corpus integrity and the claim verification engine."""
 
 import hashlib
+import math
 import tracemalloc
 from collections import Counter
 
@@ -143,7 +144,7 @@ def test_universes_from_order_six_are_refused():
     with pytest.raises(ValueError, match="order 6 has 40,104,513 classes"):
         verify_claims(max_order=6, ids=["C1"])
     with pytest.raises(ValueError, match="order 7 has more than 40,104,513 classes"):
-        theorems._ag_universe(7, None)
+        theorems._ag_universe(7, math.inf)
 
 
 @pytest.mark.parametrize("max_order", [10**6, 10**18])
