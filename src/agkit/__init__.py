@@ -30,7 +30,6 @@ from .enumeration import (
 from .iso import (
     are_isomorphic,
     canonical_form,
-    canonical_key,
     relabel,
 )
 from .props import (
@@ -77,7 +76,6 @@ __all__ = [
     "parse_property_expr",
     "are_isomorphic",
     "canonical_form",
-    "canonical_key",
     "relabel",
     "CaTestReport",
     "ca_test",

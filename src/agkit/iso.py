@@ -1,8 +1,8 @@
 """Canonical forms and isomorphism tests for finite magmas.
 
 The canonical form is the Magma whose row-major table is lexicographically
-least over all n! relabelings.  The canonical key is that same Magma:
-two magmas are isomorphic iff their canonical keys are equal.
+least over all n! relabelings: two magmas are isomorphic iff their
+canonical forms are equal.
 Full minimization is affordable up to MAX_CANON_ORDER, so no
 partition-refinement machinery is used; larger orders are refused.
 """
@@ -80,9 +80,6 @@ def canonical_form(m: Magma) -> Magma:
     return Magma(m.order, _min_table(m.order, m.table))
 
 
-canonical_key = canonical_form
-
-
 def are_isomorphic(m1: Magma, m2: Magma) -> bool:
-    """True iff the magmas have equal order and equal canonical keys."""
-    return m1.order == m2.order and canonical_key(m1) == canonical_key(m2)
+    """True iff the magmas have equal order and equal canonical forms."""
+    return m1.order == m2.order and canonical_form(m1) == canonical_form(m2)

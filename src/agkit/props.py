@@ -10,15 +10,17 @@ lone equation occurs once on each side, and each side read as a function
 of it is a short chain of row and column maps (left_commutative, medial,
 paramedial, bol_star), one guard per outer binding compares the two
 composed rows and skips the innermost loop where they are equal, so the
-witness is the same.  check_property
-wraps the catalog checkers, and classify runs each checker that is no
-composite once per magma; the raw checker registry CHECKERS, which
-holds one checker per expression atom, is shared with the enumeration
-census and the claim runners.  Property expressions are evaluated over a
-pool of magmas at a time (AtomColumns), one atom column per step; the
-operands of each & and | run cheapest first, by the ATOM_COST of their
-atoms (the number of variables of a law), so a one-variable atom can
-rule a table out before a four-variable law scans it.
+witness is the same.  The raw checker registry CHECKERS holds one
+checker per law and one per existential, and is shared with the
+enumeration census and the claim runners.  A composite property is
+defined once, as the conjunction of its parts in COMPOSITES: classify
+derives its flag from its parts' flags, an expression parses it to an
+"and" of its parts, and witness returns its first failing part's
+witness.  Property expressions are evaluated over a pool of magmas at a
+time (AtomColumns), one atom column per step; the operands of each & and
+| run cheapest first, by the ATOM_COST of their atoms (the number of
+variables of a law), so a one-variable atom can rule a table out before
+a four-variable law scans it.
 """
 
 from __future__ import annotations
@@ -282,19 +284,6 @@ CATALOG: tuple[str, ...] = (
 _INDEX = {name: i for i, name in enumerate(CATALOG)}
 
 
-def _composite_checker(parts: tuple[str, ...]) -> Checker:
-    checkers = tuple(CHECKERS[part] for part in parts)
-
-    def check(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-        for checker in checkers:
-            w = checker(n, t)
-            if w is not None:
-                return w
-        return None
-
-    return check
-
-
 _ALL_LAWS = {**LAWS, **CLAIM_LAWS}
 CHECKERS: dict[str, Checker] = {name: _compile_law(name, law) for name, law in _ALL_LAWS.items()}
 CHECKERS.update(
@@ -305,9 +294,16 @@ CHECKERS.update(
 # tuples, so the cost orders expression operands cheapest first.
 ATOM_COST: dict[str, int] = {name: len(set(law) & set(_VARS)) for name, law in _ALL_LAWS.items()}
 ATOM_COST.update(has_left_identity=2, has_cancellative_element=2)
-for _name, _parts in COMPOSITES.items():
-    CHECKERS[_name] = _composite_checker(_parts)
-    ATOM_COST[_name] = max(ATOM_COST[p] for p in _parts)
+
+
+def witness(name: str, n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
+    """CHECKERS[name]'s result, or for a composite the result of its first
+    failing part, in part order."""
+    for part in COMPOSITES.get(name, (name,)):
+        w = CHECKERS[part](n, t)
+        if w is not None:
+            return w
+    return None
 
 
 @dataclass(frozen=True)
@@ -346,15 +342,16 @@ def check_property(m: Magma, p: str) -> CheckResult:
         raise UnknownPropertyError(
             f"unknown property {p!r}; valid names: {', '.join(CATALOG)}"
         )
-    w = CHECKERS[p](m.order, m.table)
+    w = witness(p, m.order, m.table)
     if w is None:
         return CheckResult(True, None)
     return CheckResult(False, w if w != () else None)
 
 
 def classify(m: Magma) -> PropertyVector:
-    """Evaluate the full catalog for one magma: each checker that is no
-    composite runs once, and each composite is the conjunction of its parts."""
+    """Evaluate the full catalog for one magma: each property that is no
+    composite runs its checker once, and each composite is the conjunction
+    of its parts."""
     n, t = m.order, m.table
     holds = {name: CHECKERS[name](n, t) is None for name in CATALOG if name not in COMPOSITES}
     for name, parts in COMPOSITES.items():
@@ -407,7 +404,9 @@ class PropertyExpr:
 
     ast nodes are ("atom", name), ("not", x), ("and", operands) and
     ("or", operands), where operands is a tuple of at least two nodes in
-    stable ATOM_COST order.  AtomColumns evaluates it.
+    stable ATOM_COST order.  A composite name parses to the "and" of its
+    parts, so it shares their columns; names lists the names as written.
+    AtomColumns evaluates it.
     """
 
     text: str
@@ -481,7 +480,7 @@ def parse_property_expr(text: str) -> PropertyExpr:
                 f"unknown property {tok!r}; valid names: {', '.join(EXPR_ATOMS)}"
             )
         names.add(tok)
-        return ("atom", tok)
+        return _junction("and", [("atom", p) for p in COMPOSITES.get(tok, (tok,))])
 
     def parse_and() -> tuple:
         operands = [parse_atom()]

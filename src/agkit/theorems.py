@@ -26,7 +26,7 @@ from typing import Sequence
 
 from .core import Magma, parse_magma, render_magma
 from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, enumerate_ag
-from .props import CHECKERS, AtomColumns, parse_property_expr
+from .props import AtomColumns, parse_property_expr, witness
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
 # Distinct names may carry the same table; they play distinct roles.
@@ -538,7 +538,7 @@ def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
     falsifying = {}
     for name, value in atoms.items():
         # Existential atoms fail with an empty witness; skip those.
-        if not value and (w := CHECKERS[name](m.order, m.table)):
+        if not value and (w := witness(name, m.order, m.table)):
             falsifying[name] = w
     report: dict = {
         "fixture": part.fixture,

@@ -20,7 +20,7 @@ from agkit import (
     ROW_ORDER,
     are_isomorphic,
     ca_test,
-    canonical_key,
+    canonical_form,
     classify,
     classify_census,
     enumerate_ag,
@@ -140,14 +140,14 @@ def test_criterion_6_isomorphism_invariance():
         p = list(range(m.order))
         rng.shuffle(p)
         image = relabel(m, tuple(p))
-        assert canonical_key(image) == canonical_key(m)
+        assert canonical_form(image) == canonical_form(m)
         assert classify(image).flags == classify(m).flags
 
     small = [m for m in pool if m.order <= 4]
     for _ in range(100):
         m1, m2 = rng.choice(small), rng.choice(small)
         assert are_isomorphic(m1, m2) == brute_isomorphic(m1, m2)
-    print("[PASS] classify/canonical_key invariant over 1000 relabelings; "
+    print("[PASS] classify/canonical_form invariant over 1000 relabelings; "
           "canonical equality matches brute-force isomorphism on 100 pairs")
 
 

@@ -15,6 +15,7 @@ from agkit import (
     CATALOG,
     Magma,
     UnknownPropertyError,
+    canonical_form,
     check_property,
     classify,
     fixtures,
@@ -34,6 +35,7 @@ from agkit.props import (
     LAWS,
     _compile_law,
     _law_source,
+    _node_cost,
 )
 
 from conftest import M, V, ag_universe, eval_term, magmas, oracle_check
@@ -285,15 +287,53 @@ def test_atom_columns_select_matches_short_circuit_reference(pool, queries):
 
 
 def test_atom_cost_is_the_witness_arity():
-    assert set(ATOM_COST) == set(EXPR_ATOMS)
+    assert set(ATOM_COST) == set(EXPR_ATOMS) - set(COMPOSITES)
     tables = [Magma(n, t) for n in (2, 3) for t in product(range(n), repeat=n * n)]
     for name in CATALOG:
         if name in COMPOSITES or name == "has_left_identity":
             continue
         witness = next(w for m in tables if (w := check_property(m, name).witness))
         assert len(witness) == ATOM_COST[name], name
-    assert ATOM_COST["semilattice"] == 2
-    assert ATOM_COST["T3"] == 3
+    assert _node_cost(parse_property_expr("semilattice").ast) == 2
+    assert _node_cost(parse_property_expr("T3").ast) == 3
+
+
+def test_composites_have_no_checker_of_their_own():
+    assert not set(COMPOSITES) & set(CHECKERS)
+
+
+def test_composite_shares_its_parts_columns(monkeypatch, universe4):
+    # A composite parses to the conjunction of its parts, so after its
+    # parts have run over a pool it runs no checker on the same indices.
+    columns = AtomColumns(universe4)
+    indices = range(len(universe4))
+    both = columns.select(parse_property_expr("left_commutative & right_commutative"), indices)
+    calls: Counter = Counter()
+    for name, checker in list(CHECKERS.items()):
+        def counted(n, t, name=name, checker=checker):
+            calls[name] += 1
+            return checker(n, t)
+
+        monkeypatch.setitem(props.CHECKERS, name, counted)
+    assert columns.select(parse_property_expr("bicommutative"), indices) == both
+    kept = set(both)
+    rest = [i for i in indices if i not in kept]
+    assert columns.select(parse_property_expr("!bicommutative"), indices) == rest
+    assert 0 < len(both) < len(universe4)
+    assert not calls, calls
+
+
+def test_ag_star_is_not_associative_at_order_6():
+    # Among AG-groupoids the two atoms hold on the same classes at every
+    # order up to 5; this canonical order-6 AG*-groupoid is not associative.
+    m = parse_magma(
+        "6:0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,0,0,1,0,0,0,0,0,0,0,3,2"
+    )
+    assert canonical_form(m) == m
+    assert check_property(m, "ag").holds
+    assert check_property(m, "ag_star").holds
+    assert check_property(m, "associative").witness == (4, 5, 5)
+    assert not check_property(m, "cyclic_associative").holds
 
 
 def test_expression_operands_are_in_stable_cost_order():
