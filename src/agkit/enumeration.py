@@ -14,8 +14,9 @@ base-n digits of r, so ranks follow the lexicographic order of first
 rows.  A run is a range of ranks, never listed, so a one-job run starts
 at once at every order.  One function, _search, runs a unit and knows
 only AG tables: what a unit keeps of its classes is a collector's,
-_tables (the table list) or _census (the census tally, which tests its
-laws on each class relabeled by the reversal, where failing instances
+_tables (the tables, as bytes), _reversals (the tables relabeled by the
+reversal, as bytes, for the verify pool) or _census (the census tally,
+which tests its laws on the same relabeled copy, where failing instances
 come first), and _run merges the units' payloads in unit order.  The
 search keeps all n! relabelings, so orders above iso.MAX_CANON_ORDER are
 refused.
@@ -32,7 +33,7 @@ from functools import partial
 from typing import Callable
 
 from .core import Magma
-from .iso import _perm_data, _refuse_order
+from .iso import _perm_data, _refuse_order, _reversal
 from .props import CHECKERS
 
 # Orders at and above this are hours-scale; the CLI demands --allow-large.
@@ -355,10 +356,19 @@ def _run(
     return total
 
 
-def _tables(n: int) -> tuple[Callable, list]:
-    """Collector that keeps each class's table tuple, in emission order."""
-    tables: list[tuple[int, ...]] = []
-    return tables.append, tables
+def _tables(n: int) -> tuple[Callable, list[bytes]]:
+    """Collector that keeps each class's table as bytes, in emission order;
+    bytes hold a cell in one byte where a tuple holds an 8-byte pointer."""
+    tables: list[bytes] = []
+    return (lambda t: tables.append(bytes(t))), tables
+
+
+def _reversals(n: int) -> tuple[Callable, list[bytes]]:
+    """Collector that keeps each class's table relabeled by the reversal
+    (iso._reversal), as bytes, in emission order: the form in which the
+    verify pool holds the AG classes, for the reason _census gives."""
+    tables: list[bytes] = []
+    return (lambda t: tables.append(_reversal(n, t))), tables
 
 
 def _census(n: int) -> tuple[Callable, list[int]]:
@@ -423,7 +433,7 @@ def enumerate_ag(
     rows of lexicographic rank i-1, i-1+k, i-1+2k, ...; slice counts sum to
     the full count.
     """
-    def to_sink(tables: list[tuple[int, ...]]) -> None:
+    def to_sink(tables: list[bytes]) -> None:
         for t in tables:
             sink(Magma(n, t))
 

@@ -28,7 +28,7 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
-from typing import Callable, Iterable, Optional
+from typing import Callable, Iterable, Optional, Sequence
 
 from .core import Magma
 
@@ -142,13 +142,13 @@ def _law_source(name: str, text: str) -> str:
     is, as a function of z, a chain of row maps L_x (z -> xz) and column
     maps R_x (z -> zx); (ab)(cd), for one, is L_ab after L_c.  When both
     chains have at most nvars - 2 maps, the second-to-last loop ends with
-    "if <lhs map> == <rhs map>: continue": where the maps are equal the
-    equation holds for every z, and elsewhere the scalar z-loop finds the
-    same witness.  A chain of one map reads the row L[x] = t[x*n:x*n+n]
-    or the column R[x] = t[x::n]; a chain of two reads a composition
-    table such as LL[x][y] = L_x after L_y, built once per call with
-    itemgetter.  The bound nvars - 2 keeps that prelude at most
-    n**(nvars - 1) reads, one power of n below the n**nvars scan it gates.
+    "if <maps built> and <lhs map> == <rhs map>: continue": where the maps
+    are equal the equation holds for every z, and elsewhere the scalar
+    z-loop finds the same witness.  The maps (_maps) are built by one
+    call, after the first z-loop has found no witness, so a table that
+    fails there, as most tables without the law do, builds none.  The
+    bound nvars - 2 keeps the build at most n**(nvars - 1) reads, one
+    power of n below the n**nvars scan it gates.
     """
     hyps, _, concl = text.rpartition("->")
     hyps, eqs = _equations(hyps), _equations(concl)
@@ -203,22 +203,17 @@ def _law_source(name: str, text: str) -> str:
         else:
             inner_hyps.append((lhs, rhs))
     lines = [f"def _check_{name}(n, t):"]
+    build = None
     if chains:
-        # For n = 1 itemgetter returns a bare element, not a 1-tuple: two
-        # bare elements compare their one value, and a bare element never
-        # equals a row or column, so the guard never skips there.
-        kinds = {kind for chain in chains for kind, _ in chain}
-        for kind, base in (("L", "t[x * n:x * n + n]"), ("R", "t[x::n]")):
-            if kind in kinds:
-                lines.append(f"    {kind} = [{base} for x in range(n)]")
-        pairs = sorted({chain[0][0] + chain[1][0] for chain in chains if len(chain) == 2})
-        for kind in sorted({pair[1] for pair in pairs}):
-            lines.append(f"    get_{kind} = [itemgetter(*f) for f in {kind}]")
-        for pair in pairs:
-            lines.append(f"    {pair} = [[g(f) for g in get_{pair[1]}] for f in {pair[0]}]")
-        maps = ["".join(k for k, _ in chain) + "".join(f"[{expr(y)}]" for _, y in chain)
-                for chain in chains]
-        stmts[last - 1].append(f"if {maps[0]} == {maps[1]}: continue")
+        chain_kinds = ["".join(k for k, _ in chain) for chain in chains]
+        maps = [kind + "".join(f"[{expr(y)}]" for _, y in chain)
+                for kind, chain in zip(chain_kinds, chains)]
+        kinds = sorted(set(chain_kinds))
+        lines.append(f"    {' = '.join(kinds)} = None")
+        stmts[last - 1].append(
+            f"if {kinds[0]} is not None and {maps[0]} == {maps[1]}: continue")
+        build = (f"if {kinds[0]} is None: {', '.join(kinds)}{',' * (len(kinds) == 1)}"
+                 f" = _maps(n, t, {', '.join(map(repr, kinds))})")
     depth = 1
     for k in range(nvars):
         lines.append("    " * depth + f"for {_VARS[k]} in range(n):")
@@ -230,12 +225,37 @@ def _law_source(name: str, text: str) -> str:
                             + [cond if len(eqs) == 1 else f"({cond})"])
     pad = "    " * depth
     witness = ", ".join(_VARS[:nvars]) + "," * (nvars == 1)
-    lines += [f"{pad}if {cond}:", f"{pad}    return ({witness})", "    return None"]
+    lines += [f"{pad}if {cond}:", f"{pad}    return ({witness})"]
+    if build:
+        lines.append("    " * (depth - 1) + build)
+    lines.append("    return None")
     return "\n".join(lines) + "\n"
 
 
+def _maps(n: int, t: Sequence[int], *kinds: str) -> list:
+    """The maps of a composed-row guard, one list per kind: L[x] is the
+    row z -> xz, R[x] the column z -> zx, and a kind of two letters holds
+    compositions, such as LR[x][y] = L_x after R_y.  Each map is the tuple
+    of the images of 0..n-1, whatever sequence t is, so maps of any two
+    kinds compare by value.  (At n = 1 a composition is a bare int, but
+    there the loop that builds the maps has no later binding to read them.)
+    """
+    t = tuple(t)
+    single = {"L": [t[x * n:x * n + n] for x in range(n)]}
+    if any("R" in kind for kind in kinds):
+        single["R"] = [t[x::n] for x in range(n)]
+    out = []
+    for kind in kinds:
+        maps = single[kind[0]]
+        if len(kind) == 2:
+            gets = [itemgetter(*f) for f in single[kind[1]]]
+            maps = [[g(f) for g in gets] for f in maps]
+        out.append(maps)
+    return out
+
+
 def _compile_law(name: str, text: str) -> Checker:
-    namespace: dict = {"itemgetter": itemgetter}
+    namespace: dict = {"_maps": _maps}
     exec(compile(_law_source(name, text), f"<law {name}>", "exec"), namespace)
     checker = namespace[f"_check_{name}"]
     checker.__doc__ = text
@@ -505,6 +525,10 @@ def parse_property_expr(text: str) -> PropertyExpr:
 class AtomColumns:
     """Expression values over a pool of magmas, one atom column at a time.
 
+    The pool holds (order, table) pairs, the arguments of a checker: a
+    table is any sequence of ints, such as Magma.table or bytes, so a
+    caller keeps each magma in the form it has (magma_satisfies and
+    check --expr pass (m.order, m.table); theorems passes bytes).
     Each & hands an operand only the survivors of the operands before it,
     each | only the indices still false, and each ! keeps the indices its
     operand dropped, so an atom runs on exactly the magmas that per-magma
@@ -512,15 +536,15 @@ class AtomColumns:
     values sit in one bytearray over the pool (0 unknown, 1 false, 2 true).
     """
 
-    def __init__(self, magmas: Iterable[Magma] = ()) -> None:
-        self.magmas: list[Magma] = list(magmas)
+    def __init__(self, tables: Iterable[tuple[int, Sequence[int]]] = ()) -> None:
+        self.tables: list[tuple[int, Sequence[int]]] = list(tables)
         self._columns: dict[str, bytearray] = {}
 
-    def extend(self, magmas: Iterable[Magma]) -> range:
-        """Append magmas to the pool; return their indices."""
-        start = len(self.magmas)
-        self.magmas.extend(magmas)
-        return range(start, len(self.magmas))
+    def extend(self, tables: Iterable[tuple[int, Sequence[int]]]) -> range:
+        """Append (order, table) pairs to the pool; return their indices."""
+        start = len(self.tables)
+        self.tables.extend(tables)
+        return range(start, len(self.tables))
 
     def select(self, expr: PropertyExpr, indices: Iterable[int]) -> list[int]:
         """The indices, in the order given, whose magmas satisfy expr."""
@@ -545,14 +569,14 @@ class AtomColumns:
         return [i for i in indices if i in hits]
 
     def _atom(self, name: str, indices: list[int]) -> list[int]:
-        check, magmas, out = CHECKERS[name], self.magmas, []
+        check, tables, out = CHECKERS[name], self.tables, []
         column = self._columns.setdefault(name, bytearray())
-        column.extend(bytes(len(magmas) - len(column)))
+        column.extend(bytes(len(tables) - len(column)))
         for i in indices:
             value = column[i]
             if not value:
-                m = magmas[i]
-                value = column[i] = 2 if check(m.order, m.table) is None else 1
+                n, t = tables[i]
+                value = column[i] = 2 if check(n, t) is None else 1
             if value == 2:
                 out.append(i)
         return out
@@ -561,4 +585,4 @@ class AtomColumns:
 def magma_satisfies(m: Magma, expr: PropertyExpr) -> bool:
     """Whether m satisfies expr: a one-magma AtomColumns.select, so each
     atom runs at most once and only where short-circuiting reaches it."""
-    return bool(AtomColumns((m,)).select(expr, (0,)))
+    return bool(AtomColumns(((m.order, m.table),)).select(expr, (0,)))

@@ -12,7 +12,8 @@ star-class structure imported from outside this toolkit's scope are
 tagged external_premise; they are still checked as stated implications,
 so a finite counterexample would surface here.  One verify_claims call
 appends every magma it scans to one pool and evaluates each expression
-over a whole scope at once, so no atom runs twice on one magma.
+over a whole scope at once, so no atom runs twice on one magma; the
+pool holds each magma once, relabeled by the reversal, as bytes (_Pool).
 """
 
 from __future__ import annotations
@@ -25,7 +26,8 @@ from itertools import product
 from typing import Sequence
 
 from .core import Magma, parse_magma, render_magma
-from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, enumerate_ag
+from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, _reversals, _run
+from .iso import _reversal
 from .props import AtomColumns, parse_property_expr, witness
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
@@ -421,7 +423,7 @@ for _claim in CLAIMS:
                 raise AssertionError(f"claim {_claim.id}: unknown fixture {_part.fixture}")
 
 
-_UNIVERSE_CACHE: dict[int, tuple[Magma, ...]] = {}
+_UNIVERSE_CACHE: dict[int, tuple[bytes, ...]] = {}
 
 # Exhaustive all-magma scopes are capped here: the labeled-table space is
 # n^(n^2) and already infeasible at order 4.
@@ -430,7 +432,9 @@ ALL_MAGMA_ORDER_CAP = 3
 
 def _refuse_large_universe(n: int) -> None:
     """Raise ValueError from order LARGE_ORDER_THRESHOLD on: the 40,104,513
-    AG classes of order 6 alone would take about 26 GB as Magma objects."""
+    AG classes of order 6 alone would take about 6 GB in the verify pool,
+    at about 150 bytes each for the bytes table, its (order, table) pair
+    and two references."""
     if n >= LARGE_ORDER_THRESHOLD:
         top = max(PUBLISHED_CENSUS)
         raise ValueError(
@@ -440,32 +444,42 @@ def _refuse_large_universe(n: int) -> None:
         )
 
 
-def _ag_universe(n: int, deadline: float) -> tuple[Magma, ...]:
-    """The AG classes of order n, kept for the process and enumerated by
+def _ag_universe(n: int, deadline: float) -> tuple[bytes, ...]:
+    """The AG classes of order n in enumeration order, each relabeled by
+    the reversal (iso._reversal), kept for the process and enumerated by
     deadline, a time.monotonic() value or math.inf; large orders are
     refused by _refuse_large_universe."""
     _refuse_large_universe(n)
     got = _UNIVERSE_CACHE.get(n)
     if got is None:
-        out: list[Magma] = []
-        enumerate_ag(n, out.append, budget=deadline - time.monotonic())
+        out: list[bytes] = []
+        _run(n, _reversals, out.extend, budget=deadline - time.monotonic())
         got = _UNIVERSE_CACHE[n] = tuple(out)
     return got
 
 
 @lru_cache(maxsize=None)
-def _all_magmas(n: int) -> tuple[Magma, ...]:
-    return tuple(Magma(n, t) for t in product(range(n), repeat=n * n))
+def _all_magmas(n: int) -> tuple[bytes, ...]:
+    """Every table of order n in lexicographic order, each relabeled by
+    the reversal."""
+    return tuple(_reversal(n, t) for t in product(range(n), repeat=n * n))
 
 
 class _Pool(AtomColumns):
-    """One verify_claims run: the magmas it scans, with their atom columns,
-    the bundled tables by name, its max_order and its time.monotonic()
-    deadline (math.inf for none).
+    """One verify_claims run: the tables it scans, with their atom columns,
+    the bundled tables by name (fixmap), its max_order and its
+    time.monotonic() deadline (math.inf for none).
 
     Each source (the AG classes of one order, the all-magma tables of one
     order, the bundled tables) is appended once, when a claim first asks
-    for it, so an enumeration runs under the run's deadline.
+    for it, so an enumeration runs under the run's deadline.  The pool
+    holds each magma once, relabeled by the reversal, as (order, bytes):
+    no Magma and no tuple of ints.  A canonical table's first rows are
+    mostly 0 and seldom break a law, so the checkers scan the relabeled
+    copy, where failing instances come first; every atom is invariant
+    under relabeling, so each column is the same.  Witnesses depend on the
+    labels: a witness report reads fixmap, and a counterexample undoes the
+    reversal, which is its own inverse, before it is printed.
     """
 
     def __init__(
@@ -481,9 +495,12 @@ class _Pool(AtomColumns):
         """The indices of source kind ("ag", "all" or "fixtures") at order n."""
         got = self._sources.get((kind, n))
         if got is None:
-            magmas = (_ag_universe(n, self.deadline) if kind == "ag" else
-                      _all_magmas(n) if kind == "all" else self.fixmap.values())
-            got = self._sources[kind, n] = self.extend(magmas)
+            if kind == "fixtures":
+                pairs = ((m.order, _reversal(m.order, m.table)) for m in self.fixmap.values())
+            else:
+                tables = _ag_universe(n, self.deadline) if kind == "ag" else _all_magmas(n)
+                pairs = ((n, t) for t in tables)
+            got = self._sources[kind, n] = self.extend(pairs)
         return got
 
 
@@ -514,10 +531,11 @@ def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
         holds = set(pool.select(parse_property_expr(part.conclusion), hits))
         bad = next((i for i in hits if i not in holds), None)
         if bad is not None:
+            n, t = pool.tables[bad]
             return ClaimResult(
                 claim.id, claim.kind, "counterexample", scope,
                 claim.external_premise, claim.statement,
-                {"part": k, "magma": render_magma(pool.magmas[bad], "compact")},
+                {"part": k, "magma": render_magma(Magma(n, _reversal(n, t)), "compact")},
             )
         checked += len(indices)
     return ClaimResult(
@@ -528,7 +546,7 @@ def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
 
 def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
     i = pool.source("fixtures")[list(pool.fixmap).index(part.fixture)]
-    m = pool.magmas[i]
+    m = pool.fixmap[part.fixture]
     expr = parse_property_expr(part.expr)
     satisfied = bool(pool.select(expr, [i]))
     atoms = {

@@ -472,7 +472,7 @@ def test_verify_refuses_before_enumerating_any_order(capsys, monkeypatch):
 
     calls = []
     monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
-    monkeypatch.setattr(theorems, "enumerate_ag", lambda n, *a, **kw: calls.append(n))
+    monkeypatch.setattr(theorems, "_run", lambda n, *a, **kw: calls.append(n))
     code, out, err = run(capsys, "verify", "--max-order", "6")
     assert (code, out, calls) == (2, "", [])
     assert err.startswith("error: the AG universe of order 6 has") and err.count("\n") == 1

@@ -264,7 +264,7 @@ def test_atom_columns_select_matches_short_circuit_reference(pool, queries):
     magmas = [Magma(n, list(cells)) for n, cells in pool]
     index_of = {id(m.table): i for i, m in enumerate(magmas)}
     calls = []
-    columns = AtomColumns(magmas)
+    columns = AtomColumns((m.order, m.table) for m in magmas)
     want_pairs: set = set()
 
     def value(name, i):
@@ -305,7 +305,7 @@ def test_composites_have_no_checker_of_their_own():
 def test_composite_shares_its_parts_columns(monkeypatch, universe4):
     # A composite parses to the conjunction of its parts, so after its
     # parts have run over a pool it runs no checker on the same indices.
-    columns = AtomColumns(universe4)
+    columns = AtomColumns((m.order, m.table) for m in universe4)
     indices = range(len(universe4))
     both = columns.select(parse_property_expr("left_commutative & right_commutative"), indices)
     calls: Counter = Counter()
@@ -441,7 +441,7 @@ def test_law_compiler_hoists_names_and_skips():
     # ab and ba are bound above the innermost loop, where (ab)c = (ba)c
     # holds for every c once the rows L[ab] and L[ba] are equal.
     assert "ab = t[a * n + b]" in source("left_commutative")
-    assert "if L[ab] == L[ba]: continue" in source("left_commutative")
+    assert "if L is not None and L[ab] == L[ba]: continue" in source("left_commutative")
     assert "continue" not in source("right_commutative")
     # Innermost subterms get a name only when they occur twice.
     assert "cc = t[c * n + c]" in source("right_nuclear_square")
@@ -468,30 +468,31 @@ def test_law_compiler_hoists_names_and_skips():
     ]
     # A four-variable law with d once on each side compares the two sides
     # as functions of d, (ab)(cd) as L_ab after L_c, and skips the d-loop
-    # where they are equal.
+    # where they are equal.  The maps are built after the first d-loop
+    # has found no witness.
     assert source("medial").splitlines() == [
         "def _check_medial(n, t):",
-        "    L = [t[x * n:x * n + n] for x in range(n)]",
-        "    get_L = [itemgetter(*f) for f in L]",
-        "    LL = [[g(f) for g in get_L] for f in L]",
+        "    LL = None",
         "    for a in range(n):",
         "        for b in range(n):",
         "            ab = t[a * n + b]",
         "            for c in range(n):",
         "                ac = t[a * n + c]",
-        "                if LL[ab][c] == LL[ac][b]: continue",
+        "                if LL is not None and LL[ab][c] == LL[ac][b]: continue",
         "                for d in range(n):",
         "                    if t[ab * n + t[c * n + d]] != t[ac * n + t[b * n + d]]:",
         "                        return (a, b, c, d)",
+        "                if LL is None: LL, = _maps(n, t, 'LL')",
         "    return None",
     ]
-    assert "if LL[ab][c] == RR[ca][b]: continue" in source("paramedial")
-    assert "if LL[a][bc] == L[abc]: continue" in source("bol_star")
+    assert "if LL is not None and LL[ab][c] == RR[ca][b]: continue" in source("paramedial")
+    assert "if LL is None: LL, RR = _maps(n, t, 'LL', 'RR')" in source("paramedial")
+    assert "if L is not None and LL[a][bc] == L[abc]: continue" in source("bol_star")
     # The census predicates, the left invertive law and T1 (a hypothesis)
     # keep the plain loop nest.
     for name in ("cyclic_associative", "associative", "commutative", "ag", "T1"):
         assert source(name).splitlines()[1] == "    for a in range(n):", name
-        assert "itemgetter" not in source(name), name
+        assert "_maps" not in source(name), name
     # T1's hypothesis needs d, so it stays in the innermost condition.
     assert "if ab == t[c * n + d] and ba != t[d * n + c]:" in source("T1")
     for bad in ("abc = a", "a(b = a", "ab) = a", "() = a", "ab = ba = ab", "ab", "bc = cb", "e = a"):
@@ -503,7 +504,8 @@ def test_law_compiler_guards_exactly_the_short_chain_laws():
     # The rule: a lone equation with no hypothesis whose last variable z
     # occurs once on each side, and whose sides are each 1 to nvars - 2
     # products deep above z, gets one "== ...: continue" guard at the end
-    # of the second-to-last loop, before the z-loop.
+    # of the second-to-last loop, before the z-loop, and one build of its
+    # maps right after the z-loop.
     def depth(x, z):
         return 0 if x == z else 1 + depth(x[1] if z in repr(x[1]) else x[0], z)
 
@@ -518,14 +520,29 @@ def test_law_compiler_guards_exactly_the_short_chain_laws():
                         for x in eqs[0]))
         lines = _law_source(name, law).splitlines()
         guards = [k for k, line in enumerate(lines)
-                  if re.fullmatch(r" *if [LR]+\[.+\] == [LR]+\[.+\]: continue", line)]
+                  if re.fullmatch(r" *if [LR]+ is not None and [LR]+\[.+\] == [LR]+\[.+\]: continue",
+                                  line)]
         assert len(guards) == want, name
         if want:
             guarded.add(name)
             k = guards[0]
             assert lines[k].startswith(" " * 4 * nvars + "if "), name
             assert lines[k + 1] == " " * 4 * nvars + f"for {z} in range(n):", name
+            assert lines[k + 4].startswith(" " * 4 * nvars + "if "), name
+            assert " = _maps(n, t, " in lines[k + 4], name
     assert guarded == {"left_commutative", "medial", "paramedial", "bol_star"}
+
+
+def test_checkers_read_any_sequence_of_ints():
+    # The verify pool passes bytes, the census a list, a Magma a tuple: each
+    # checker gives the same witness on all three, and the composed-row
+    # maps are tuples whatever the table is, so the guards compare by value.
+    for m in list(fixtures().values()) + _seeded_tables()[::10]:
+        n, t = m.order, m.table
+        for name, checker in CHECKERS.items():
+            assert checker(n, bytes(t)) == checker(n, list(t)) == checker(n, t), (name, m)
+        kinds = ("L", "R", "LL", "LR", "RL", "RR")
+        assert props._maps(n, bytes(t), *kinds) == props._maps(n, t, *kinds)
 
 
 # Four-variable laws outside the catalog whose sides, as functions of d,
@@ -548,7 +565,7 @@ def test_every_chain_shape_matches_term_evaluation():
                for n in (2, 3, 4) for _ in range(20)]
     for k, (law, (lhs, rhs)) in enumerate(_CHAIN_LAWS.items()):
         checker = _compile_law(f"chain{k}", law)
-        assert ("itemgetter" in _law_source("x", law)) == (k < 4), law
+        assert ("_maps" in _law_source("x", law)) == (k < 4), law
         failing = 0
         for m in tables:
             n, t = m.order, m.table

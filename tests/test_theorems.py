@@ -4,6 +4,7 @@ import hashlib
 import math
 import tracemalloc
 from collections import Counter
+from itertools import product
 
 import pytest
 
@@ -12,9 +13,12 @@ from agkit import (
     CLAIMS,
     FIXTURE_ASSERTIONS,
     ClaimBudgetError,
+    Magma,
     UnknownClaimError,
+    canonical_form,
     check_property,
     classify,
+    enumerate_ag,
     fixtures,
     parse_magma,
     parse_property_expr,
@@ -223,7 +227,9 @@ def test_scoped_implication_reports_counterexample(law):
 
 
 def test_implication_counterexample_detection():
-    # sanity of the engine itself: a false implication must be caught
+    # sanity of the engine itself: a false implication must be caught.  The
+    # pool holds the tables relabeled by the reversal, and the evidence
+    # undoes it: it is the first failing class in pool order, canonical.
     from agkit.theorems import Claim, Implication, _Pool, _run_implication
 
     bogus = Claim(
@@ -235,6 +241,51 @@ def test_implication_counterexample_detection():
     m = parse_magma(result.evidence["magma"])
     assert check_property(m, "ag").holds
     assert not check_property(m, "band").holds
+    assert canonical_form(m) == m
+    classes = []
+    for n in (1, 2, 3):
+        enumerate_ag(n, classes.append)
+    assert m == next(c for c in classes if not check_property(c, "band").holds)
+    # An all-magma scope comes first in the pool, in lexicographic order.
+    bogus = Claim(
+        "X3", "implication", "every commutative semigroup is a band",
+        (Implication("commutative & associative", "band", universe="all"),),
+    )
+    result = _run_implication(bogus, _Pool({}, 3))
+
+    def holds(m, name):
+        return check_property(m, name).holds
+
+    tables = (Magma(n, t) for n in (1, 2, 3) for t in product(range(n), repeat=n * n))
+    first = next(m for m in tables if holds(m, "commutative") and holds(m, "associative")
+                 and not holds(m, "band"))
+    assert parse_magma(result.evidence["magma"]) == first
+
+
+def test_pool_holds_each_magma_reversed_as_bytes(monkeypatch):
+    # At orders 1-4 the AG source is enumerate_ag's stream, in order, each
+    # table relabeled by the reversal (n-1, ..., 0) and held as bytes, and
+    # the bundled tables enter in the same form; the cache holds no Magma.
+    from agkit import theorems
+
+    def reversal(m):
+        return m.order, bytes(m.order - 1 - v for v in reversed(m.table))
+
+    monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
+    fixmap = fixtures()
+    pool = theorems._Pool(fixmap, 4)
+    for n in (1, 2, 3, 4):
+        stream = []
+        enumerate_ag(n, stream.append)
+        got = [pool.tables[i] for i in pool.source("ag", n)]
+        assert got == [reversal(m) for m in stream]
+        assert all(type(t) is bytes for _, t in got)
+    got = [pool.tables[i] for i in pool.source("fixtures")]
+    assert got == [reversal(m) for m in fixmap.values()]
+    assert list(theorems._UNIVERSE_CACHE) == [1, 2, 3, 4]
+    assert all(
+        type(t) is bytes for tables in theorems._UNIVERSE_CACHE.values() for t in tables
+    )
 
 
 def test_duplicate_tables_play_distinct_roles(fixture_map):
