@@ -107,8 +107,8 @@ def _cmd_check(args: argparse.Namespace) -> int:
     expr = parse_property_expr(args.expr) if args.expr is not None else None
     predicate_mode = bool(props) or expr is not None
     if expr is not None:
-        pairs = ((m.order, m.table) for m in magmas)
-        holding = set(AtomColumns(pairs).select(expr, range(len(magmas))))
+        columns = AtomColumns(m.table for m in magmas)
+        holding = set(columns.select(expr, range(len(magmas))))
 
     records = []
     all_true = True

@@ -13,13 +13,13 @@ count.  A unit is its rank r, 0 <= r < n**n: its first row is the n
 base-n digits of r, so ranks follow the lexicographic order of first
 rows.  A run is a range of ranks, never listed, so a one-job run starts
 at once at every order.  One function, _search, runs a unit and knows
-only AG tables: what a unit keeps of its classes is a collector's,
-_tables (the tables, as bytes), _reversals (the tables relabeled by the
-reversal, as bytes, for the verify pool) or _census (the census tally,
-which tests its laws on the same relabeled copy, where failing instances
-come first), and _run merges the units' payloads in unit order.  The
-search keeps all n! relabelings, so orders above iso.MAX_CANON_ORDER are
-refused.
+only AG tables, and hands each class's table to a collector as bytes:
+what a unit keeps of its classes is the collector's, _tables (the
+tables), _reversals (the tables relabeled by the reversal, for the
+verify pool) or _census (the census tally, which tests its laws on the
+same relabeled copy, where failing instances come first), and _run
+merges the units' payloads in unit order.  The search keeps all n!
+relabelings, so orders above iso.MAX_CANON_ORDER are refused.
 """
 
 from __future__ import annotations
@@ -118,12 +118,12 @@ def _search(n: int, collect: Callable | None, deadline: float, rank: int) -> tup
     pickle it.
 
     collect, a top-level function or None, is called once as collect(n)
-    and returns (emit, payload): emit(t) receives each class's table tuple
-    t, and payload is what the unit returns for the run to merge.  With no
-    collect the unit only counts.  deadline is a time.monotonic() value,
-    or math.inf for none; a pool worker runs on the parent's host, where
-    the monotonic clock is system-wide, so the parent's deadline holds in
-    the worker.  Returns
+    and returns (emit, payload): emit(t) receives each class's table as
+    bytes t, one byte a cell, and payload is what the unit returns for
+    the run to merge.  With no collect the unit only counts.  deadline is
+    a time.monotonic() value, or math.inf for none; a pool worker runs on
+    the parent's host, where the monotonic clock is system-wide, so the
+    parent's deadline holds in the worker.  Returns
     ("ok"|"partial", class_count, payload): "partial" when the deadline
     passed, class_count the classes emitted until then.  The deadline is
     tested once before the n! - 1 relabelings are built (most of a second
@@ -287,7 +287,7 @@ def _search(n: int, collect: Callable | None, deadline: float, rank: int) -> tup
         if idx == size:
             count += 1
             if emit is not None:
-                emit(tuple(T))
+                emit(bytes(T))
             return
         for v in rng:
             mark = len(trail)
@@ -357,10 +357,10 @@ def _run(
 
 
 def _tables(n: int) -> tuple[Callable, list[bytes]]:
-    """Collector that keeps each class's table as bytes, in emission order;
-    bytes hold a cell in one byte where a tuple holds an 8-byte pointer."""
+    """Collector that keeps each class's table, as _search emits it, in
+    emission order."""
     tables: list[bytes] = []
-    return (lambda t: tables.append(bytes(t))), tables
+    return tables.append, tables
 
 
 def _reversals(n: int) -> tuple[Callable, list[bytes]]:
@@ -377,19 +377,16 @@ def _census(n: int) -> tuple[Callable, list[int]]:
 
     The census laws do not depend on the labels.  A canonical table's first
     rows are mostly 0 and seldom break a law, so the tally checks the copy
-    relabeled by the reversal (n-1, ..., 0), whose scans from row 0 meet
-    the failing instances first.  The reversal is its own inverse, so it
-    maps cell pos to size - 1 - pos and value v to n - 1 - v, and the copy
-    is [n - 1 - v for v in reversed(t)]; at order 1 that is t itself.
+    relabeled by the reversal (iso._reversal), whose scans from row 0
+    meet the failing instances first.
     """
     acc = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
     is_ca = CHECKERS["cyclic_associative"]
     is_assoc = CHECKERS["associative"]
     is_comm = CHECKERS["commutative"]
-    top = n - 1
 
-    def emit(t: tuple[int, ...]) -> None:
-        t = [top - v for v in reversed(t)]
+    def emit(t: bytes) -> None:
+        t = _reversal(n, t)
         ca = is_ca(n, t) is None
         if ca:
             acc[0] += 1

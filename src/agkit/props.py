@@ -25,6 +25,7 @@ a four-variable law scans it.
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from operator import itemgetter
@@ -525,10 +526,10 @@ def parse_property_expr(text: str) -> PropertyExpr:
 class AtomColumns:
     """Expression values over a pool of magmas, one atom column at a time.
 
-    The pool holds (order, table) pairs, the arguments of a checker: a
-    table is any sequence of ints, such as Magma.table or bytes, so a
-    caller keeps each magma in the form it has (magma_satisfies and
-    check --expr pass (m.order, m.table); theorems passes bytes).
+    The pool holds tables, each any sequence of n*n ints, such as
+    Magma.table or bytes, so a caller keeps each magma in the form it has
+    (magma_satisfies and check --expr pass m.table; theorems passes
+    bytes); a checker gets the square root of the length as the order.
     Each & hands an operand only the survivors of the operands before it,
     each | only the indices still false, and each ! keeps the indices its
     operand dropped, so an atom runs on exactly the magmas that per-magma
@@ -536,12 +537,12 @@ class AtomColumns:
     values sit in one bytearray over the pool (0 unknown, 1 false, 2 true).
     """
 
-    def __init__(self, tables: Iterable[tuple[int, Sequence[int]]] = ()) -> None:
-        self.tables: list[tuple[int, Sequence[int]]] = list(tables)
+    def __init__(self, tables: Iterable[Sequence[int]] = ()) -> None:
+        self.tables: list[Sequence[int]] = list(tables)
         self._columns: dict[str, bytearray] = {}
 
-    def extend(self, tables: Iterable[tuple[int, Sequence[int]]]) -> range:
-        """Append (order, table) pairs to the pool; return their indices."""
+    def extend(self, tables: Iterable[Sequence[int]]) -> range:
+        """Append tables to the pool; return their indices."""
         start = len(self.tables)
         self.tables.extend(tables)
         return range(start, len(self.tables))
@@ -575,8 +576,8 @@ class AtomColumns:
         for i in indices:
             value = column[i]
             if not value:
-                n, t = tables[i]
-                value = column[i] = 2 if check(n, t) is None else 1
+                t = tables[i]
+                value = column[i] = 2 if check(math.isqrt(len(t)), t) is None else 1
             if value == 2:
                 out.append(i)
         return out
@@ -585,4 +586,4 @@ class AtomColumns:
 def magma_satisfies(m: Magma, expr: PropertyExpr) -> bool:
     """Whether m satisfies expr: a one-magma AtomColumns.select, so each
     atom runs at most once and only where short-circuiting reaches it."""
-    return bool(AtomColumns(((m.order, m.table),)).select(expr, (0,)))
+    return bool(AtomColumns((m.table,)).select(expr, (0,)))

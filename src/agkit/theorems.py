@@ -13,7 +13,8 @@ tagged external_premise; they are still checked as stated implications,
 so a finite counterexample would surface here.  One verify_claims call
 appends every magma it scans to one pool and evaluates each expression
 over a whole scope at once, so no atom runs twice on one magma; the
-pool holds each magma once, relabeled by the reversal, as bytes (_Pool).
+pool holds each magma once, as the bytes of its table relabeled by the
+reversal, with no order beside it (_Pool).
 """
 
 from __future__ import annotations
@@ -432,9 +433,8 @@ ALL_MAGMA_ORDER_CAP = 3
 
 def _refuse_large_universe(n: int) -> None:
     """Raise ValueError from order LARGE_ORDER_THRESHOLD on: the 40,104,513
-    AG classes of order 6 alone would take about 6 GB in the verify pool,
-    at about 150 bytes each for the bytes table, its (order, table) pair
-    and two references."""
+    AG classes of order 6 alone would take about 3.5 GB in the verify pool,
+    at about 90 bytes each for the bytes table and two references."""
     if n >= LARGE_ORDER_THRESHOLD:
         top = max(PUBLISHED_CENSUS)
         raise ValueError(
@@ -473,8 +473,9 @@ class _Pool(AtomColumns):
     Each source (the AG classes of one order, the all-magma tables of one
     order, the bundled tables) is appended once, when a claim first asks
     for it, so an enumeration runs under the run's deadline.  The pool
-    holds each magma once, relabeled by the reversal, as (order, bytes):
-    no Magma and no tuple of ints.  A canonical table's first rows are
+    holds each magma once, as the bytes of its table relabeled by the
+    reversal, and no Magma, pair or tuple of ints; the order is the
+    square root of the length.  A canonical table's first rows are
     mostly 0 and seldom break a law, so the checkers scan the relabeled
     copy, where failing instances come first; every atom is invariant
     under relabeling, so each column is the same.  Witnesses depend on the
@@ -496,11 +497,10 @@ class _Pool(AtomColumns):
         got = self._sources.get((kind, n))
         if got is None:
             if kind == "fixtures":
-                pairs = ((m.order, _reversal(m.order, m.table)) for m in self.fixmap.values())
+                tables = (_reversal(m.order, m.table) for m in self.fixmap.values())
             else:
                 tables = _ag_universe(n, self.deadline) if kind == "ag" else _all_magmas(n)
-                pairs = ((n, t) for t in tables)
-            got = self._sources[kind, n] = self.extend(pairs)
+            got = self._sources[kind, n] = self.extend(tables)
         return got
 
 
@@ -531,7 +531,8 @@ def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
         holds = set(pool.select(parse_property_expr(part.conclusion), hits))
         bad = next((i for i in hits if i not in holds), None)
         if bad is not None:
-            n, t = pool.tables[bad]
+            t = pool.tables[bad]
+            n = math.isqrt(len(t))
             return ClaimResult(
                 claim.id, claim.kind, "counterexample", scope,
                 claim.external_premise, claim.statement,

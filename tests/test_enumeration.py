@@ -340,6 +340,22 @@ def test_search_kernel_knows_only_ag_tables():
                 assert not values & {"count", "tables", "census"}, f"{fn.name}:{node.lineno}"
 
 
+def test_search_emits_bytes():
+    # A collector receives each class's table as bytes, one byte a cell.
+    got = []
+
+    def collect(n):
+        return got.append, None
+
+    units = [(n, r) for n in (1, 2, 3) for r in range(n ** n)] + [(4, 0)]
+    for n, rank in units:
+        del got[:]
+        status, count, _ = enumeration._search(n, collect, math.inf, rank)
+        assert status == "ok" and len(got) == count
+        assert all(type(t) is bytes and len(t) == n * n for t in got), (n, rank)
+    assert got
+
+
 def test_worker_processes_are_capped(monkeypatch):
     # A fork pool starts every worker it is given; never run this for real.
     asked = []

@@ -269,7 +269,7 @@ def test_pool_holds_each_magma_reversed_as_bytes(monkeypatch):
     from agkit import theorems
 
     def reversal(m):
-        return m.order, bytes(m.order - 1 - v for v in reversed(m.table))
+        return bytes(m.order - 1 - v for v in reversed(m.table))
 
     monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
     fixmap = fixtures()
@@ -279,7 +279,7 @@ def test_pool_holds_each_magma_reversed_as_bytes(monkeypatch):
         enumerate_ag(n, stream.append)
         got = [pool.tables[i] for i in pool.source("ag", n)]
         assert got == [reversal(m) for m in stream]
-        assert all(type(t) is bytes for _, t in got)
+        assert all(type(t) is bytes for t in got)
     got = [pool.tables[i] for i in pool.source("fixtures")]
     assert got == [reversal(m) for m in fixmap.values()]
     assert list(theorems._UNIVERSE_CACHE) == [1, 2, 3, 4]
