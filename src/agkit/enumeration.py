@@ -15,11 +15,9 @@ rows.  A run is a range of ranks, never listed, so a one-job run starts
 at once at every order.  One function, _search, runs a unit and knows
 only AG tables, and hands each class's table to a collector as bytes:
 what a unit keeps of its classes is the collector's, _tables (the
-tables), _reversals (the tables relabeled by the reversal, for the
-verify pool) or _census (the census tally, which tests its laws on the
-same relabeled copy, where failing instances come first), and _run
-merges the units' payloads in unit order.  The search keeps all n!
-relabelings, so orders above iso.MAX_CANON_ORDER are refused.
+tables) or _census (the census tally), and _run merges the units'
+payloads in unit order.  The search keeps all n! relabelings, so orders
+above iso.MAX_CANON_ORDER are refused.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ from functools import partial
 from typing import Callable
 
 from .core import Magma
-from .iso import _perm_data, _refuse_order, _reversal
+from .iso import _perm_data, _refuse_order
 from .props import CHECKERS
 
 # Orders at and above this are hours-scale; the CLI demands --allow-large.
@@ -363,30 +361,15 @@ def _tables(n: int) -> tuple[Callable, list[bytes]]:
     return tables.append, tables
 
 
-def _reversals(n: int) -> tuple[Callable, list[bytes]]:
-    """Collector that keeps each class's table relabeled by the reversal
-    (iso._reversal), as bytes, in emission order: the form in which the
-    verify pool holds the AG classes, for the reason _census gives."""
-    tables: list[bytes] = []
-    return (lambda t: tables.append(_reversal(n, t))), tables
-
-
 def _census(n: int) -> tuple[Callable, list[int]]:
     """Collector that keeps the census tally of the unit's classes: how
-    many are CA, associative, both, and both but not commutative.
-
-    The census laws do not depend on the labels.  A canonical table's first
-    rows are mostly 0 and seldom break a law, so the tally checks the copy
-    relabeled by the reversal (iso._reversal), whose scans from row 0
-    meet the failing instances first.
-    """
+    many are CA, associative, both, and both but not commutative."""
     acc = [0, 0, 0, 0]  # ca, associative, ca∧assoc, assoc∧¬comm∧ca
     is_ca = CHECKERS["cyclic_associative"]
     is_assoc = CHECKERS["associative"]
     is_comm = CHECKERS["commutative"]
 
     def emit(t: bytes) -> None:
-        t = _reversal(n, t)
         ca = is_ca(n, t) is None
         if ca:
             acc[0] += 1

@@ -25,23 +25,6 @@ def _cell_map(n: int, p: Sequence[int]) -> tuple[int, ...]:
     return tuple(q[pos // n] * n + q[pos % n] for pos in range(n * n))
 
 
-@lru_cache(maxsize=None)
-def _flip(n: int) -> bytes:
-    """The bytes.translate table that sends value v < n to n - 1 - v."""
-    return bytes(range(n - 1, -1, -1)).ljust(256, b"\0")
-
-
-def _reversal(n: int, t: Sequence[int]) -> bytes:
-    """The table t relabeled by the reversal (n - 1, ..., 0), as bytes.
-
-    The reversal is its own inverse, so _cell_map sends cell pos to
-    n*n - 1 - pos, and value v becomes n - 1 - v: the image is t read
-    backwards with each value flipped, and applying it twice gives
-    bytes(t) back.  At order 1 it is bytes(t).
-    """
-    return bytes(t[::-1]).translate(_flip(n))
-
-
 def relabel(m: Magma, p: Sequence[int]) -> Magma:
     """Isomorphic image under permutation p: table'(p(a), p(b)) = p(table(a, b))."""
     n = m.order

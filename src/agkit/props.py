@@ -3,24 +3,28 @@
 Each law of the catalog is stated once, as data, in LAWS, and the two
 laws that claims state about idempotents in CLAIM_LAWS.  At import a
 small parser reads each law and a compiler turns it into one nested-loop
-checker, generated with exec, that scans element tuples in lexicographic
-order and returns the first falsifying tuple, or None when the law
-holds, so witnesses are deterministic.  Where the last variable of a
-lone equation occurs once on each side, and each side read as a function
-of it is a short chain of row and column maps (left_commutative, medial,
-paramedial, bol_star), one guard per outer binding compares the two
-composed rows and skips the innermost loop where they are equal, so the
-witness is the same.  The raw checker registry CHECKERS holds one
-checker per law and one per existential, and is shared with the
-enumeration census and the claim runners.  A composite property is
-defined once, as the conjunction of its parts in COMPOSITES: classify
-derives its flag from its parts' flags, an expression parses it to an
-"and" of its parts, and witness returns its first failing part's
-witness.  Property expressions are evaluated over a pool of magmas at a
-time (AtomColumns), one atom column per step; the operands of each & and
-| run cheapest first, by the ATOM_COST of their atoms (the number of
-variables of a law), so a one-variable atom can rule a table out before
-a four-variable law scans it.
+checker, generated with exec, that binds every variable from the top
+label n - 1 down to 0 and returns the first falsifying tuple of that
+scan, the lexicographically largest, or None when the law holds.  A
+canonical table's low rows are mostly 0 and seldom break a law, so the
+census and the claim runners meet a failing instance sooner this way.
+witness alone relabels, by the reversal (n - 1, ..., 0), so a reported
+witness is the lexicographically smallest falsifying tuple.  Where the
+last variable of a lone equation occurs once on each side, and each side
+read as a function of it is a short chain of row and column maps
+(left_commutative, medial, paramedial, bol_star), one guard per outer
+binding compares the two composed rows and skips the innermost loop
+where they are equal, so the witness is the same.  The raw checker
+registry CHECKERS holds one checker per law and one per existential,
+and is shared with the enumeration census and the claim runners.  A
+composite property is defined once, as the conjunction of its parts in
+COMPOSITES: classify derives its flag from its parts' flags, an
+expression parses it to an "and" of its parts, and witness returns its
+first failing part's witness.  Property expressions are evaluated over
+a pool of magmas at a time (AtomColumns), one atom column per step; the
+operands of each & and | run cheapest first, by the ATOM_COST of their
+atoms (the number of variables of a law), so a one-variable atom can
+rule a table out before a four-variable law scans it.
 """
 
 from __future__ import annotations
@@ -131,12 +135,13 @@ def _z_chain(x, z: str):
 def _law_source(name: str, text: str) -> str:
     """Python source of the nested-loop checker for one law.
 
-    Loops bind the variables in order, so the first falsifying tuple is
-    the lexicographically smallest.  A compound subterm is computed once,
-    in the loop where its last variable is bound; in the innermost loop
-    it gets a local name only when it occurs twice.  A hypothesis whose
-    sides are bound above the innermost loop is tested in the loop that
-    binds its last variable, which skips the inner loops where it fails.
+    Loops bind the variables in order, each over down = n - 1, ..., 0, so
+    the first falsifying tuple is the lexicographically largest.  A
+    compound subterm is computed once, in the loop where its last
+    variable is bound; in the innermost loop it gets a local name only
+    when it occurs twice.  A hypothesis whose sides are bound above the
+    innermost loop is tested in the loop that binds its last variable,
+    which skips the inner loops where it fails.
 
     One shortcut skips the innermost loop.  In a lone equation with no
     hypothesis whose last variable z occurs once on each side, each side
@@ -203,7 +208,7 @@ def _law_source(name: str, text: str) -> str:
             stmts[k].append(f"if {expr(lhs)} != {expr(rhs)}: continue")
         else:
             inner_hyps.append((lhs, rhs))
-    lines = [f"def _check_{name}(n, t):"]
+    lines = [f"def _check_{name}(n, t):", "    down = range(n - 1, -1, -1)"]
     build = None
     if chains:
         chain_kinds = ["".join(k for k, _ in chain) for chain in chains]
@@ -217,7 +222,7 @@ def _law_source(name: str, text: str) -> str:
                  f" = _maps(n, t, {', '.join(map(repr, kinds))})")
     depth = 1
     for k in range(nvars):
-        lines.append("    " * depth + f"for {_VARS[k]} in range(n):")
+        lines.append("    " * depth + f"for {_VARS[k]} in down:")
         depth += 1
         lines += ["    " * depth + stmt for stmt in stmts[k]]
     cond = " or ".join(f"{expr(lhs)} != {expr(rhs)}" for lhs, rhs in eqs)
@@ -318,12 +323,19 @@ ATOM_COST.update(has_left_identity=2, has_cancellative_element=2)
 
 
 def witness(name: str, n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """CHECKERS[name]'s result, or for a composite the result of its first
-    failing part, in part order."""
+    """The lexicographically smallest falsifying tuple of name on t, () for
+    a failing existential, None where name holds; for a composite, that of
+    its first failing part, in part order.
+
+    Instance x fails on t exactly where instance n - 1 - x fails on t
+    relabeled by the reversal, so the checkers' descending scan of that
+    copy meets the smallest instance of t first.
+    """
+    r = [n - 1 - v for v in reversed(t)]
     for part in COMPOSITES.get(name, (name,)):
-        w = CHECKERS[part](n, t)
+        w = CHECKERS[part](n, r)
         if w is not None:
-            return w
+            return tuple(n - 1 - v for v in w)
     return None
 
 

@@ -13,8 +13,8 @@ tagged external_premise; they are still checked as stated implications,
 so a finite counterexample would surface here.  One verify_claims call
 appends every magma it scans to one pool and evaluates each expression
 over a whole scope at once, so no atom runs twice on one magma; the
-pool holds each magma once, as the bytes of its table relabeled by the
-reversal, with no order beside it (_Pool).
+pool holds each magma once, as the bytes of its table, with no order
+beside it (_Pool).
 """
 
 from __future__ import annotations
@@ -27,8 +27,7 @@ from itertools import product
 from typing import Sequence
 
 from .core import Magma, parse_magma, render_magma
-from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, _reversals, _run
-from .iso import _reversal
+from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, _run, _tables
 from .props import AtomColumns, parse_property_expr, witness
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
@@ -433,8 +432,11 @@ ALL_MAGMA_ORDER_CAP = 3
 
 def _refuse_large_universe(n: int) -> None:
     """Raise ValueError from order LARGE_ORDER_THRESHOLD on: the 40,104,513
-    AG classes of order 6 alone would take about 3.5 GB in the verify pool,
-    at about 90 bytes each for the bytes table and two references."""
+    AG classes of order 6 alone would take about 3.6 GB in the verify pool,
+    at about 89 bytes each.  That is 78 bytes a class measured with
+    tracemalloc for the order-5 universe (each bytes table and its slots in
+    the cached tuple and the pool list), plus the 11 more cells of an
+    order-6 table."""
     if n >= LARGE_ORDER_THRESHOLD:
         top = max(PUBLISHED_CENSUS)
         raise ValueError(
@@ -445,24 +447,22 @@ def _refuse_large_universe(n: int) -> None:
 
 
 def _ag_universe(n: int, deadline: float) -> tuple[bytes, ...]:
-    """The AG classes of order n in enumeration order, each relabeled by
-    the reversal (iso._reversal), kept for the process and enumerated by
-    deadline, a time.monotonic() value or math.inf; large orders are
-    refused by _refuse_large_universe."""
+    """The AG classes of order n in enumeration order, kept for the
+    process and enumerated by deadline, a time.monotonic() value or
+    math.inf; large orders are refused by _refuse_large_universe."""
     _refuse_large_universe(n)
     got = _UNIVERSE_CACHE.get(n)
     if got is None:
         out: list[bytes] = []
-        _run(n, _reversals, out.extend, budget=deadline - time.monotonic())
+        _run(n, _tables, out.extend, budget=deadline - time.monotonic())
         got = _UNIVERSE_CACHE[n] = tuple(out)
     return got
 
 
 @lru_cache(maxsize=None)
 def _all_magmas(n: int) -> tuple[bytes, ...]:
-    """Every table of order n in lexicographic order, each relabeled by
-    the reversal."""
-    return tuple(_reversal(n, t) for t in product(range(n), repeat=n * n))
+    """Every table of order n in lexicographic order."""
+    return tuple(map(bytes, product(range(n), repeat=n * n)))
 
 
 class _Pool(AtomColumns):
@@ -473,14 +473,8 @@ class _Pool(AtomColumns):
     Each source (the AG classes of one order, the all-magma tables of one
     order, the bundled tables) is appended once, when a claim first asks
     for it, so an enumeration runs under the run's deadline.  The pool
-    holds each magma once, as the bytes of its table relabeled by the
-    reversal, and no Magma, pair or tuple of ints; the order is the
-    square root of the length.  A canonical table's first rows are
-    mostly 0 and seldom break a law, so the checkers scan the relabeled
-    copy, where failing instances come first; every atom is invariant
-    under relabeling, so each column is the same.  Witnesses depend on the
-    labels: a witness report reads fixmap, and a counterexample undoes the
-    reversal, which is its own inverse, before it is printed.
+    holds each magma once, as the bytes of its table, and no Magma, pair
+    or tuple of ints; the order is the square root of the length.
     """
 
     def __init__(
@@ -497,7 +491,7 @@ class _Pool(AtomColumns):
         got = self._sources.get((kind, n))
         if got is None:
             if kind == "fixtures":
-                tables = (_reversal(m.order, m.table) for m in self.fixmap.values())
+                tables = (bytes(m.table) for m in self.fixmap.values())
             else:
                 tables = _ag_universe(n, self.deadline) if kind == "ag" else _all_magmas(n)
             got = self._sources[kind, n] = self.extend(tables)
@@ -532,11 +526,10 @@ def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
         bad = next((i for i in hits if i not in holds), None)
         if bad is not None:
             t = pool.tables[bad]
-            n = math.isqrt(len(t))
             return ClaimResult(
                 claim.id, claim.kind, "counterexample", scope,
                 claim.external_premise, claim.statement,
-                {"part": k, "magma": render_magma(Magma(n, _reversal(n, t)), "compact")},
+                {"part": k, "magma": render_magma(Magma(math.isqrt(len(t)), t), "compact")},
             )
         checked += len(indices)
     return ClaimResult(

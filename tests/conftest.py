@@ -175,14 +175,21 @@ def oracle_check(m: Magma, name: str):
             if not holds:
                 return False, w
         return True, None
+    env = oracle_failure(m, name, range(n))
+    return env is None, env
+
+
+def oracle_failure(m: Magma, name: str, labels):
+    """The first env of product(labels, repeat=nvars) at which the identity
+    name fails on m, or None where it holds."""
+    n, t = m.order, m.table
     nvars, when, musts = ORACLE_IDENTITIES[name]
-    for env in itertools.product(range(n), repeat=nvars):
+    for env in itertools.product(labels, repeat=nvars):
         if any(eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env) for lhs, rhs in when):
             continue
-        for lhs, rhs in musts:
-            if eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env):
-                return False, env
-    return True, None
+        if any(eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env) for lhs, rhs in musts):
+            return env
+    return None
 
 
 # --- brute-force enumeration and isomorphism oracles ------------------------

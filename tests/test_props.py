@@ -38,7 +38,9 @@ from agkit.props import (
     _node_cost,
 )
 
-from conftest import M, V, ag_universe, eval_term, magmas, oracle_check
+from conftest import (
+    ORACLE_IDENTITIES, M, V, ag_universe, eval_term, magmas, oracle_check, oracle_failure,
+)
 
 
 def assert_matches_oracle(m: Magma) -> None:
@@ -88,7 +90,23 @@ def _near_affine(draw, orders=(5, 6)):
 def test_four_variable_laws_match_oracle_past_order_4(m):
     for name in ("medial", "paramedial", "bol_star"):
         holds, witness = oracle_check(m, name)
-        assert CHECKERS[name](m.order, m.table) == witness, (name, m)
+        assert props.witness(name, m.order, m.table) == witness, (name, m)
+
+
+@given(st.one_of(magmas(max_order=5), st.integers(0, 330).map(lambda i: ag_universe(4)[i])))
+def test_checkers_scan_down_and_witness_scans_up(m):
+    # A raw checker returns the first falsifying tuple of the scan from the
+    # top label down, the largest; witness returns the smallest.  A failing
+    # existential gives () both ways.
+    n, t = m.order, m.table
+    for name, checker in CHECKERS.items():
+        if name in ORACLE_IDENTITIES:
+            down = oracle_failure(m, name, range(n - 1, -1, -1))
+            up = oracle_failure(m, name, range(n))
+        else:
+            down = up = None if oracle_check(m, name)[0] else ()
+        assert checker(n, t) == down, (name, m)
+        assert props.witness(name, n, t) == up, (name, m)
 
 
 def test_constant_magma_satisfies_every_identity():
@@ -202,7 +220,7 @@ def test_claim_laws_match_oracle():
     for m in tables:
         for name in CLAIM_LAWS:
             holds, witness = oracle_check(m, name)
-            assert CHECKERS[name](m.order, m.table) == witness, (name, m)
+            assert props.witness(name, m.order, m.table) == witness, (name, m)
             failing[name] += not holds
     assert all(failing.values()), failing
 
@@ -454,16 +472,17 @@ def test_law_compiler_hoists_names_and_skips():
     # that binds its last variable.
     assert source("idempotents_form_semilattice").splitlines() == [
         "def _check_idempotents_form_semilattice(n, t):",
-        "    for a in range(n):",
+        "    down = range(n - 1, -1, -1)",
+        "    for a in down:",
         "        aa = t[a * n + a]",
         "        if aa != a: continue",
-        "        for b in range(n):",
+        "        for b in down:",
         "            bb = t[b * n + b]",
         "            ab = t[a * n + b]",
         "            abab = t[ab * n + ab]",
         "            ba = t[b * n + a]",
         "            if bb != b: continue",
-        "            for c in range(n):",
+        "            for c in down:",
         "                if t[c * n + c] == c and (abab != ab or ab != ba"
         " or t[ab * n + c] != t[a * n + t[b * n + c]]):",
         "                    return (a, b, c)",
@@ -472,17 +491,18 @@ def test_law_compiler_hoists_names_and_skips():
     # A four-variable law with d once on each side compares the two sides
     # as functions of d, (ab)(cd) as L_ab after L_c, and skips the d-loop
     # where they are equal.  The maps are built after the first d-loop
-    # has found no witness.
+    # has found no witness.  Every variable runs from n - 1 down to 0.
     assert source("medial").splitlines() == [
         "def _check_medial(n, t):",
+        "    down = range(n - 1, -1, -1)",
         "    LL = None",
-        "    for a in range(n):",
-        "        for b in range(n):",
+        "    for a in down:",
+        "        for b in down:",
         "            ab = t[a * n + b]",
-        "            for c in range(n):",
+        "            for c in down:",
         "                ac = t[a * n + c]",
         "                if LL is not None and LL[ab][c] == LL[ac][b]: continue",
-        "                for d in range(n):",
+        "                for d in down:",
         "                    if t[ab * n + t[c * n + d]] != t[ac * n + t[b * n + d]]:",
         "                        return (a, b, c, d)",
         "                if LL is None: LL, = _maps(n, t, 'LL')",
@@ -494,7 +514,8 @@ def test_law_compiler_hoists_names_and_skips():
     # The census predicates, the left invertive law and T1 (a hypothesis)
     # keep the plain loop nest.
     for name in ("cyclic_associative", "associative", "commutative", "ag", "T1"):
-        assert source(name).splitlines()[1] == "    for a in range(n):", name
+        assert source(name).splitlines()[1:3] == [
+            "    down = range(n - 1, -1, -1)", "    for a in down:"], name
         assert "_maps" not in source(name), name
     # T1's hypothesis needs d, so it stays in the innermost condition.
     assert "if ab == t[c * n + d] and ba != t[d * n + c]:" in source("T1")
@@ -530,16 +551,17 @@ def test_law_compiler_guards_exactly_the_short_chain_laws():
             guarded.add(name)
             k = guards[0]
             assert lines[k].startswith(" " * 4 * nvars + "if "), name
-            assert lines[k + 1] == " " * 4 * nvars + f"for {z} in range(n):", name
+            assert lines[k + 1] == " " * 4 * nvars + f"for {z} in down:", name
             assert lines[k + 4].startswith(" " * 4 * nvars + "if "), name
             assert " = _maps(n, t, " in lines[k + 4], name
     assert guarded == {"left_commutative", "medial", "paramedial", "bol_star"}
 
 
 def test_checkers_read_any_sequence_of_ints():
-    # The verify pool passes bytes, the census a list, a Magma a tuple: each
-    # checker gives the same witness on all three, and the composed-row
-    # maps are tuples whatever the table is, so the guards compare by value.
+    # The verify pool and the census pass bytes, witness a list, a Magma a
+    # tuple: each checker gives the same witness on all three, and the
+    # composed-row maps are tuples whatever the table is, so the guards
+    # compare by value.
     for m in list(fixtures().values()) + _seeded_tables()[::10]:
         n, t = m.order, m.table
         for name, checker in CHECKERS.items():
@@ -572,7 +594,7 @@ def test_every_chain_shape_matches_term_evaluation():
         failing = 0
         for m in tables:
             n, t = m.order, m.table
-            want = next((env for env in product(range(n), repeat=4)
+            want = next((env for env in product(range(n - 1, -1, -1), repeat=4)
                          if eval_term(lhs, t, n, env) != eval_term(rhs, t, n, env)), None)
             assert checker(n, t) == want, (law, m)
             failing += want is not None

@@ -228,8 +228,7 @@ def test_scoped_implication_reports_counterexample(law):
 
 def test_implication_counterexample_detection():
     # sanity of the engine itself: a false implication must be caught.  The
-    # pool holds the tables relabeled by the reversal, and the evidence
-    # undoes it: it is the first failing class in pool order, canonical.
+    # evidence is the first failing class in pool order, canonical.
     from agkit.theorems import Claim, Implication, _Pool, _run_implication
 
     bogus = Claim(
@@ -262,14 +261,11 @@ def test_implication_counterexample_detection():
     assert parse_magma(result.evidence["magma"]) == first
 
 
-def test_pool_holds_each_magma_reversed_as_bytes(monkeypatch):
+def test_pool_holds_each_magma_as_bytes(monkeypatch):
     # At orders 1-4 the AG source is enumerate_ag's stream, in order, each
-    # table relabeled by the reversal (n-1, ..., 0) and held as bytes, and
-    # the bundled tables enter in the same form; the cache holds no Magma.
+    # table held as bytes, and the bundled tables enter in the same form;
+    # the cache holds no Magma.
     from agkit import theorems
-
-    def reversal(m):
-        return bytes(m.order - 1 - v for v in reversed(m.table))
 
     monkeypatch.setattr(theorems, "_UNIVERSE_CACHE", {})
     fixmap = fixtures()
@@ -278,10 +274,10 @@ def test_pool_holds_each_magma_reversed_as_bytes(monkeypatch):
         stream = []
         enumerate_ag(n, stream.append)
         got = [pool.tables[i] for i in pool.source("ag", n)]
-        assert got == [reversal(m) for m in stream]
+        assert got == [bytes(m.table) for m in stream]
         assert all(type(t) is bytes for t in got)
     got = [pool.tables[i] for i in pool.source("fixtures")]
-    assert got == [reversal(m) for m in fixmap.values()]
+    assert got == [bytes(m.table) for m in fixmap.values()]
     assert list(theorems._UNIVERSE_CACHE) == [1, 2, 3, 4]
     assert all(
         type(t) is bytes for tables in theorems._UNIVERSE_CACHE.values() for t in tables
