@@ -1,6 +1,6 @@
 """Run the benchmark on two revisions in alternating pairs and summarise it.
 
-    python tools/bench_pairs.py PARENT CHANGE [--pairs 10] [--seconds 25]
+    python tools/bench_pairs.py PARENT CHANGE [--pairs 10]
 
 PARENT and CHANGE are git revisions of this repository.  Each is
 extracted with git archive into its own temporary directory.  For every
@@ -9,8 +9,9 @@ unmodified
 
     python3 perfbench/run.py --workload W --seed i --seconds S --trace 0
 
-runs once in each tree: the parent first on odd seeds, the change first
-on even ones, so that drift of the host falls on both sides alike.
+with S the run_seconds of that BENCHMARK.json runs once in each tree:
+the parent first on odd seeds, the change first on even ones, so that
+drift of the host falls on both sides alike.
 
 Prints one JSON object.  Its "workloads" maps each workload to its pairs
 (each side's correct, attempted, failed and metrics, as run.py prints
@@ -96,7 +97,6 @@ def main(argv: list[str] | None = None) -> int:
     parser.add_argument("parent")
     parser.add_argument("change")
     parser.add_argument("--pairs", type=int, default=10)
-    parser.add_argument("--seconds", type=int, default=25)
     args = parser.parse_args(argv)
     if args.pairs < 2:
         parser.error("--pairs must be at least 2, for quartiles")
@@ -106,6 +106,7 @@ def main(argv: list[str] | None = None) -> int:
             extract(rev, trees[side])
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         names = [w["name"] for w in spec["workloads"]]
+        seconds = spec["run_seconds"]
         pairs: dict[str, list[dict]] = {name: [] for name in names}
         for seed in range(1, args.pairs + 1):
             order = SIDES if seed % 2 else SIDES[::-1]
@@ -113,12 +114,12 @@ def main(argv: list[str] | None = None) -> int:
                 pair: dict = {"seed": seed, "first": order[0]}
                 for side in order:
                     print(f"seed {seed} {name} {side}", file=sys.stderr, flush=True)
-                    pair[side] = run_once(trees[side], name, seed, args.seconds)
+                    pair[side] = run_once(trees[side], name, seed, seconds)
                 pairs[name].append(pair)
     workloads = {name: {"pairs": pairs[name], **summarize(pairs[name], spec["end_to_end"])}
                  for name in names}
     print(json.dumps({
-        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {args.seconds} --trace 0",
+        "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "parent": args.parent,
         "change": args.change,
         "workloads": workloads,
