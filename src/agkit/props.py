@@ -3,28 +3,30 @@
 Each law of the catalog is stated once, as data, in LAWS, and the two
 laws that claims state about idempotents in CLAIM_LAWS.  At import a
 small parser reads each law and a compiler turns it into one nested-loop
-checker, generated with exec, that binds every variable from the top
-label n - 1 down to 0 and returns the first falsifying tuple of that
-scan, the lexicographically largest, or None when the law holds.  A
-canonical table's low rows are mostly 0 and seldom break a law, so the
-census and the claim runners meet a failing instance sooner this way.
-witness alone relabels, by the reversal (n - 1, ..., 0), so a reported
-witness is the lexicographically smallest falsifying tuple.  Where the
-last variable of a lone equation occurs once on each side, and each side
-read as a function of it is a short chain of row and column maps
-(left_commutative, medial, paramedial, bol_star), one guard per outer
-binding compares the two composed rows and skips the innermost loop
-where they are equal, so the witness is the same.  The raw checker
+checker, generated with exec, that binds every variable over the range
+its caller gives and returns the first falsifying tuple of that scan, or
+None when the law holds.  By default the range runs from the top label
+n - 1 down to 0, so the first falsifying tuple is the lexicographically
+largest: a canonical table's low rows are mostly 0 and seldom break a
+law, so the census and the claim runners meet a failing instance sooner
+this way.  check_property passes range(n) instead, so a reported witness
+is the lexicographically smallest falsifying tuple of the table itself.
+Where the last variable of a lone equation occurs once on each side, and
+each side read as a function of it is a short chain of row and column
+maps (left_commutative, medial, paramedial, bol_star), one guard per
+outer binding compares the two composed rows and skips the innermost
+loop where they are equal, so the witness is the same.  The raw checker
 registry CHECKERS holds one checker per law and one per existential,
 and is shared with the enumeration census and the claim runners.  A
 composite property is defined once, as the conjunction of its parts in
 COMPOSITES: classify derives its flag from its parts' flags, an
-expression parses it to an "and" of its parts, and witness returns its
-first failing part's witness.  Property expressions are evaluated over
-a pool of magmas at a time (AtomColumns), one atom column per step; the
-operands of each & and | run cheapest first, by the ATOM_COST of their
-atoms (the number of variables of a law), so a one-variable atom can
-rule a table out before a four-variable law scans it.
+expression parses it to an "and" of its parts, and check_property
+returns its first failing part's witness.  Property expressions are
+evaluated over a pool of magmas at a time (AtomColumns), one atom column
+per step; the operands of each & and | run cheapest first, by the
+ATOM_COST of their atoms (the number of variables of a law), so a
+one-variable atom can rule a table out before a four-variable law scans
+it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,9 @@ from typing import Callable, Iterable, Optional, Sequence
 
 from .core import Magma
 
-Checker = Callable[[int, tuple[int, ...]], Optional[tuple[int, ...]]]
+# A checker is called as checker(n, t, down=None): down is the range each
+# variable runs over, n - 1, ..., 0 when None.
+Checker = Callable[..., Optional[tuple[int, ...]]]
 
 
 class UnknownPropertyError(ValueError):
@@ -135,8 +139,9 @@ def _z_chain(x, z: str):
 def _law_source(name: str, text: str) -> str:
     """Python source of the nested-loop checker for one law.
 
-    Loops bind the variables in order, each over down = n - 1, ..., 0, so
-    the first falsifying tuple is the lexicographically largest.  A
+    Loops bind the variables in order, each over the checker's argument
+    down, n - 1, ..., 0 when it is None; the first falsifying tuple is the
+    lexicographically largest then, and the smallest over range(n).  A
     compound subterm is computed once, in the loop where its last
     variable is bound; in the innermost loop it gets a local name only
     when it occurs twice.  A hypothesis whose sides are bound above the
@@ -208,7 +213,8 @@ def _law_source(name: str, text: str) -> str:
             stmts[k].append(f"if {expr(lhs)} != {expr(rhs)}: continue")
         else:
             inner_hyps.append((lhs, rhs))
-    lines = [f"def _check_{name}(n, t):", "    down = range(n - 1, -1, -1)"]
+    lines = [f"def _check_{name}(n, t, down=None):",
+             "    if down is None: down = range(n - 1, -1, -1)"]
     build = None
     if chains:
         chain_kinds = ["".join(k for k, _ in chain) for chain in chains]
@@ -268,16 +274,18 @@ def _compile_law(name: str, text: str) -> Checker:
     return checker
 
 
-def _check_has_left_identity(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Existence of e with ea = a for all a; no finite witness on failure."""
+def _check_has_left_identity(n: int, t: Sequence[int], down=None) -> tuple[int, ...] | None:
+    """Existence of e with ea = a for all a; no finite witness on failure,
+    so down is ignored."""
     for e in range(n):
         if all(t[e * n + a] == a for a in range(n)):
             return None
     return ()
 
 
-def _check_has_cancellative_element(n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """Existence of a whose row and column are both permutations."""
+def _check_has_cancellative_element(n: int, t: Sequence[int], down=None) -> tuple[int, ...] | None:
+    """Existence of a whose row and column are both permutations; down is
+    ignored."""
     for a in range(n):
         if len(set(t[a * n:a * n + n])) == n and len(set(t[a::n])) == n:
             return None
@@ -322,23 +330,6 @@ ATOM_COST: dict[str, int] = {name: len(set(law) & set(_VARS)) for name, law in _
 ATOM_COST.update(has_left_identity=2, has_cancellative_element=2)
 
 
-def witness(name: str, n: int, t: tuple[int, ...]) -> tuple[int, ...] | None:
-    """The lexicographically smallest falsifying tuple of name on t, () for
-    a failing existential, None where name holds; for a composite, that of
-    its first failing part, in part order.
-
-    Instance x fails on t exactly where instance n - 1 - x fails on t
-    relabeled by the reversal, so the checkers' descending scan of that
-    copy meets the smallest instance of t first.
-    """
-    r = [n - 1 - v for v in reversed(t)]
-    for part in COMPOSITES.get(name, (name,)):
-        w = CHECKERS[part](n, r)
-        if w is not None:
-            return tuple(n - 1 - v for v in w)
-    return None
-
-
 @dataclass(frozen=True)
 class CheckResult:
     """Outcome of one property check.
@@ -370,15 +361,20 @@ class PropertyVector:
 
 
 def check_property(m: Magma, p: str) -> CheckResult:
-    """Check one catalog property; witness is the smallest falsifying tuple."""
+    """Check one catalog property, a composite part by part in COMPOSITES
+    order.  Each checker scans m.table itself over range(m.order), so the
+    first falsifying tuple it returns is the smallest; a composite reports
+    its first failing part's."""
     if p not in _INDEX:
         raise UnknownPropertyError(
             f"unknown property {p!r}; valid names: {', '.join(CATALOG)}"
         )
-    w = witness(p, m.order, m.table)
-    if w is None:
-        return CheckResult(True, None)
-    return CheckResult(False, w if w != () else None)
+    for part in COMPOSITES.get(p, (p,)):
+        w = CHECKERS[part](m.order, m.table, range(m.order))
+        if w is not None:
+            # A failing existential returns (): it has no finite witness.
+            return CheckResult(False, w or None)
+    return CheckResult(True, None)
 
 
 def classify(m: Magma) -> PropertyVector:

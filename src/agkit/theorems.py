@@ -28,7 +28,7 @@ from typing import Sequence
 
 from .core import Magma, parse_magma, render_magma
 from .enumeration import LARGE_ORDER_THRESHOLD, PUBLISHED_CENSUS, BudgetExceeded, _run, _tables
-from .props import AtomColumns, parse_property_expr, witness
+from .props import AtomColumns, check_property, parse_property_expr
 
 # The bundled example tables, transcribed 0-based (first symbol -> 0).
 # Distinct names may carry the same table; they play distinct roles.
@@ -549,8 +549,8 @@ def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
     }
     falsifying = {}
     for name, value in atoms.items():
-        # Existential atoms fail with an empty witness; skip those.
-        if not value and (w := witness(name, m.order, m.table)):
+        # A failing existential atom has no witness; skip those.
+        if not value and (w := check_property(m, name).witness):
             falsifying[name] = w
     report: dict = {
         "fixture": part.fixture,

@@ -52,3 +52,22 @@ def test_summary_of_fixed_pairs():
     # A fall of more than the bound in a higher-is-better metric is outside it.
     slow = [{"parent": _line(1.0, 100.0), "change": _line(1.0, 80.0)}] * 2
     assert bench_pairs.summarize(slow, specs[1:])["summary"]["classes_per_s"]["within_bound"] is False
+
+
+def test_compare_names_each_differing_output():
+    parent = {
+        "same": (b"1\n", b"", 0),
+        "out": (b"1\n", b"", 0),
+        "err and code": (b"", b"usage\n", 2),
+    }
+    change = {
+        "same": (b"1\n", b"", 0),
+        "out": (b"2\n", b"", 0),
+        "err and code": (b"", b"", 0),
+    }
+    assert bench_pairs.compare(parent, change) == {
+        "identical": 1,
+        "differ": {"out": ["stdout"], "err and code": ["stderr", "exit_code"]},
+    }
+    assert bench_pairs.compare(parent, parent) == {"identical": 3, "differ": {}}
+    assert len(bench_pairs.CMP_COMMANDS) == 45

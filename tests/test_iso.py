@@ -71,8 +71,8 @@ def test_perm_data_cell_maps_give_relabel_images(n):
 
 @given(magmas(max_order=6))
 def test_reversal_image_is_the_reversed_complement(m):
-    # The copy props.witness scans: relabeling by (n-1, ..., 0) maps cell
-    # pos to size - 1 - pos and value v to n - 1 - v.
+    # Relabeling by the reversal (n-1, ..., 0) maps cell pos to
+    # size - 1 - pos and value v to n - 1 - v.
     n = m.order
     assert relabel(m, range(n - 1, -1, -1)).table == tuple(n - 1 - v for v in reversed(m.table))
 
@@ -91,7 +91,9 @@ _checked_magmas = st.one_of(
 
 @given(_checked_magmas.flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m.order)))))
 def test_every_checker_is_relabel_invariant(pair):
-    # props.witness runs the checkers on the copy relabeled by the reversal.
+    # The reversal always among the relabelings: a checker's scan from the
+    # top label down visits a table's instances in the order the scan
+    # from 0 up visits them on the reversed table.
     m, p = pair
     n = m.order
     for q in (p, range(n - 1, -1, -1)):

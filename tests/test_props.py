@@ -90,14 +90,14 @@ def _near_affine(draw, orders=(5, 6)):
 def test_four_variable_laws_match_oracle_past_order_4(m):
     for name in ("medial", "paramedial", "bol_star"):
         holds, witness = oracle_check(m, name)
-        assert props.witness(name, m.order, m.table) == witness, (name, m)
+        assert CHECKERS[name](m.order, m.table, range(m.order)) == witness, (name, m)
 
 
 @given(st.one_of(magmas(max_order=5), st.integers(0, 330).map(lambda i: ag_universe(4)[i])))
 def test_checkers_scan_down_and_witness_scans_up(m):
     # A raw checker returns the first falsifying tuple of the scan from the
-    # top label down, the largest; witness returns the smallest.  A failing
-    # existential gives () both ways.
+    # top label down, the largest, and over range(n) the smallest.  A
+    # failing existential gives () both ways.
     n, t = m.order, m.table
     for name, checker in CHECKERS.items():
         if name in ORACLE_IDENTITIES:
@@ -106,7 +106,38 @@ def test_checkers_scan_down_and_witness_scans_up(m):
         else:
             down = up = None if oracle_check(m, name)[0] else ()
         assert checker(n, t) == down, (name, m)
-        assert props.witness(name, n, t) == up, (name, m)
+        assert checker(n, t, range(n)) == up, (name, m)
+
+
+def test_check_property_scans_the_callers_table_upward(monkeypatch, fixture_map):
+    # Each part's checker gets m.table itself, no relabelled copy, and
+    # range(n); a composite calls its parts in order up to the first that
+    # fails.
+    real, calls = dict(CHECKERS), []
+    for name, checker in real.items():
+        def spy(n, t, down=None, name=name, checker=checker):
+            calls.append((name, n, t, down))
+            return checker(n, t, down)
+
+        monkeypatch.setitem(props.CHECKERS, name, spy)
+    magmas = [Magma(1, (0,)), parse_magma("3:0,0,0,0,0,0,0,1,0"), *fixture_map.values()]
+    split = set()
+    for m in magmas:
+        for p in CATALOG:
+            calls.clear()
+            check_property(m, p)
+            want = []
+            for part in COMPOSITES.get(p, (p,)):
+                want.append(part)
+                if real[part](m.order, m.table) is not None:
+                    break
+            assert [c[0] for c in calls] == want, (p, m)
+            for _, n, t, down in calls:
+                assert n == m.order and t is m.table and down == range(n), (p, m)
+            if len(want) > 1:
+                split.add(p)
+    # The order-1 magma satisfies every law, so each composite runs every part.
+    assert split == set(COMPOSITES)
 
 
 def test_constant_magma_satisfies_every_identity():
@@ -220,7 +251,7 @@ def test_claim_laws_match_oracle():
     for m in tables:
         for name in CLAIM_LAWS:
             holds, witness = oracle_check(m, name)
-            assert props.witness(name, m.order, m.table) == witness, (name, m)
+            assert CHECKERS[name](m.order, m.table, range(m.order)) == witness, (name, m)
             failing[name] += not holds
     assert all(failing.values()), failing
 
@@ -471,8 +502,8 @@ def test_law_compiler_hoists_names_and_skips():
     # A hypothesis bound above the innermost loop is tested in the loop
     # that binds its last variable.
     assert source("idempotents_form_semilattice").splitlines() == [
-        "def _check_idempotents_form_semilattice(n, t):",
-        "    down = range(n - 1, -1, -1)",
+        "def _check_idempotents_form_semilattice(n, t, down=None):",
+        "    if down is None: down = range(n - 1, -1, -1)",
         "    for a in down:",
         "        aa = t[a * n + a]",
         "        if aa != a: continue",
@@ -491,10 +522,11 @@ def test_law_compiler_hoists_names_and_skips():
     # A four-variable law with d once on each side compares the two sides
     # as functions of d, (ab)(cd) as L_ab after L_c, and skips the d-loop
     # where they are equal.  The maps are built after the first d-loop
-    # has found no witness.  Every variable runs from n - 1 down to 0.
+    # has found no witness.  By default every variable runs from n - 1
+    # down to 0.
     assert source("medial").splitlines() == [
-        "def _check_medial(n, t):",
-        "    down = range(n - 1, -1, -1)",
+        "def _check_medial(n, t, down=None):",
+        "    if down is None: down = range(n - 1, -1, -1)",
         "    LL = None",
         "    for a in down:",
         "        for b in down:",
@@ -515,7 +547,7 @@ def test_law_compiler_hoists_names_and_skips():
     # keep the plain loop nest.
     for name in ("cyclic_associative", "associative", "commutative", "ag", "T1"):
         assert source(name).splitlines()[1:3] == [
-            "    down = range(n - 1, -1, -1)", "    for a in down:"], name
+            "    if down is None: down = range(n - 1, -1, -1)", "    for a in down:"], name
         assert "_maps" not in source(name), name
     # T1's hypothesis needs d, so it stays in the innermost condition.
     assert "if ab == t[c * n + d] and ba != t[d * n + c]:" in source("T1")
@@ -558,10 +590,10 @@ def test_law_compiler_guards_exactly_the_short_chain_laws():
 
 
 def test_checkers_read_any_sequence_of_ints():
-    # The verify pool and the census pass bytes, witness a list, a Magma a
-    # tuple: each checker gives the same witness on all three, and the
-    # composed-row maps are tuples whatever the table is, so the guards
-    # compare by value.
+    # The verify pool and the census pass bytes, a Magma a tuple, and a
+    # list stands for any other sequence of ints: each checker gives the
+    # same witness on all three, and the composed-row maps are tuples
+    # whatever the table is, so the guards compare by value.
     for m in list(fixtures().values()) + _seeded_tables()[::10]:
         n, t = m.order, m.table
         for name, checker in CHECKERS.items():

@@ -321,9 +321,9 @@ def test_verify_checker_calls_are_pinned(monkeypatch):
 
     calls = Counter()
     for name, checker in list(props.CHECKERS.items()):
-        def counted(n, t, name=name, checker=checker):
+        def counted(n, t, *down, name=name, checker=checker):
             calls[name] += 1
-            return checker(n, t)
+            return checker(n, t, *down)
 
         monkeypatch.setitem(props.CHECKERS, name, counted)
     verify_claims(max_order=4)

@@ -13,9 +13,18 @@ with S the run_seconds of that BENCHMARK.json runs once in each tree:
 the parent first on odd seeds, the change first on even ones, so that
 drift of the host falls on both sides alike.
 
-Prints one JSON object.  Its "workloads" maps each workload to its pairs
-(each side's correct, attempted, failed and metrics, as run.py prints
-them), to all_correct, failed_ops and attempted_ops, and to a summary
+Before the pairs, each of the CMP_COMMANDS runs once in each tree as
+python -m agkit, with that tree's src on PYTHONPATH, in one shared
+directory of inputs: sN/stream.txt is CHANGE's
+perfbench/workloads.write_stream("table-stream", N, ...) for N = 1, 2, 3,
+and random.txt holds 150 random tables of each order 1-7 from
+random.Random(4).  The commands whose stdout, stderr or exit code differ
+between the trees are printed to stderr.
+
+Prints one JSON object.  Its "cmp" lists the commands, counts the
+identical ones and maps each differing one to the outputs that differ.
+Its "workloads" maps each workload to its pairs (each side's correct,
+attempted, failed and metrics, as run.py prints them), to all_correct, failed_ops and attempted_ops, and to a summary
 per end-to-end metric: every value on each side, each side's quartiles
 and median from statistics.quantiles(n=4), median_change (the change
 median minus the parent median, over the parent median), the parent's
@@ -30,6 +39,9 @@ from __future__ import annotations
 import argparse
 import io
 import json
+import os
+import random
+import shlex
 import statistics
 import subprocess
 import sys
@@ -39,6 +51,33 @@ from pathlib import Path
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+
+# The --props selection of the check commands: the guarded laws, a law
+# with a hypothesis, every composite and an existential.
+PROPS = ("left_commutative,medial,paramedial,bol_star,T1,T3,has_left_identity,"
+         "semilattice,nuclear_square,alternative,bicommutative")
+CA_NOT_ASSOC = "cyclic_associative & !associative"
+CMP_COMMANDS: list[list[str]] = [
+    *(argv for k in (3, 4, 5) for argv in (
+        ["verify", "--max-order", str(k)], ["verify", "--max-order", str(k), "--json"])),
+    ["verify", "--claims", "C13,C28", "--max-order", "5", "--json"],
+    *(["classify", "--order", str(k), "--json"] for k in (2, 3, 4, 5)),
+    *(argv for k in ("4", "5") for argv in (
+        ["enumerate", "--order", k],
+        ["enumerate", "--order", k, "--count-only"],
+        ["enumerate", "--order", k, "--jobs", "2"],
+        ["enumerate", "--order", k, "--class", CA_NOT_ASSOC],
+        ["enumerate", "--order", k, "--class", "nuclear_square & !semilattice"])),
+    *(argv for f in ("s1/stream.txt", "s2/stream.txt", "s3/stream.txt", "random.txt")
+      for argv in (
+          ["check", f, "--json"],
+          ["check", f, "--expr", CA_NOT_ASSOC],
+          ["check", f, "--props", PROPS],
+          ["check", f, "--props", PROPS, "--json"],
+          ["canon", f],
+          ["ca-test", f, "--json"])),
+]
+CMP_FIELDS = ("stdout", "stderr", "exit_code")
 
 
 def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
@@ -73,6 +112,47 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def compare(parent: dict[str, tuple], change: dict[str, tuple]) -> dict:
+    """The cmp section: parent and change map each command to its
+    (stdout, stderr, exit_code), and each differing command maps to the
+    names of the fields that differ."""
+    differ = {}
+    for command, got in parent.items():
+        fields = [f for f, p, c in zip(CMP_FIELDS, got, change[command]) if p != c]
+        if fields:
+            differ[command] = fields
+    return {"identical": len(parent) - len(differ), "differ": differ}
+
+
+def write_cmp_inputs(tree: Path, dest: Path) -> None:
+    """The input files of CMP_COMMANDS, written to dest."""
+    sys.path.insert(0, str(tree / "perfbench"))
+    try:
+        import workloads
+    finally:
+        sys.path.pop(0)
+    for seed in (1, 2, 3):
+        (dest / f"s{seed}").mkdir(parents=True)
+        workloads.write_stream("table-stream", seed, dest / f"s{seed}")
+    rng = random.Random(4)
+    lines = [workloads.encode(n, [rng.randrange(n) for _ in range(n * n)])
+             for n in range(1, 8) for _ in range(150)]
+    (dest / "random.txt").write_text("".join(line + "\n" for line in lines), encoding="utf-8")
+
+
+def run_cmp(tree: Path, inputs: Path) -> dict[str, tuple]:
+    """Each of CMP_COMMANDS run in inputs with tree's agkit: its
+    (stdout, stderr, exit_code), keyed by the command as a shell line."""
+    env = {**os.environ, "PYTHONPATH": str(tree / "src")}
+    out = {}
+    for argv in CMP_COMMANDS:
+        print(f"cmp {tree.name}: {shlex.join(argv)}", file=sys.stderr, flush=True)
+        proc = subprocess.run([sys.executable, "-m", "agkit", *argv], cwd=inputs, env=env,
+                              capture_output=True)
+        out[shlex.join(argv)] = (proc.stdout, proc.stderr, proc.returncode)
+    return out
+
+
 def extract(rev: str, dest: Path) -> None:
     """Write the files of revision rev, as git archive gives them, to dest."""
     data = subprocess.run(["git", "-C", str(ROOT), "archive", "--format=tar", rev],
@@ -104,6 +184,11 @@ def main(argv: list[str] | None = None) -> int:
         trees = {s: Path(tmp) / s for s in SIDES}
         for side, rev in zip(SIDES, (args.parent, args.change)):
             extract(rev, trees[side])
+        inputs = Path(tmp) / "inputs"
+        write_cmp_inputs(trees["change"], inputs)
+        cmp = compare(*(run_cmp(trees[s], inputs) for s in SIDES))
+        for command, fields in cmp["differ"].items():
+            print(f"cmp: {', '.join(fields)} differ: {command}", file=sys.stderr, flush=True)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         names = [w["name"] for w in spec["workloads"]]
         seconds = spec["run_seconds"]
@@ -122,6 +207,7 @@ def main(argv: list[str] | None = None) -> int:
         "command": f"python3 perfbench/run.py --workload W --seed N --seconds {seconds} --trace 0",
         "parent": args.parent,
         "change": args.change,
+        "cmp": {"commands": [shlex.join(argv) for argv in CMP_COMMANDS], **cmp},
         "workloads": workloads,
     }, indent=1))
     return 0
