@@ -91,8 +91,8 @@ _checked_magmas = st.one_of(
 
 @given(_checked_magmas.flatmap(lambda m: st.tuples(st.just(m), st.permutations(range(m.order)))))
 def test_every_checker_is_relabel_invariant(pair):
-    # The reversal always among the relabelings: a checker's scan from the
-    # top label down visits a table's instances in the order the scan
+    # The reversal is always among the relabelings: a checker's scan from
+    # the top label down visits a table's instances in the order the scan
     # from 0 up visits them on the reversed table.
     m, p = pair
     n = m.order

@@ -24,13 +24,14 @@ between the trees are printed to stderr.
 Prints one JSON object.  Its "cmp" lists the commands, counts the
 identical ones and maps each differing one to the outputs that differ.
 Its "workloads" maps each workload to its pairs (each side's correct,
-attempted, failed and metrics, as run.py prints them), to all_correct, failed_ops and attempted_ops, and to a summary
-per end-to-end metric: every value on each side, each side's quartiles
-and median from statistics.quantiles(n=4), median_change (the change
-median minus the parent median, over the parent median), the parent's
-interquartile range, the bound of BENCHMARK.json and whether the change
-stays within it, and change_wins, the pairs in which the change was
-better, ties counting for neither side.  Progress goes to stderr.  Uses
+attempted, failed and metrics, as run.py prints them), to all_correct,
+failed_ops and attempted_ops, and to a summary per end-to-end metric:
+every value on each side, each side's quartiles and median from
+statistics.quantiles(n=4), median_change (the change median minus the
+parent median, over the parent median), the parent's interquartile
+range, the bound of BENCHMARK.json and whether the change stays within
+it, and change_wins, the pairs in which the change was better, ties
+counting for neither side.  Progress goes to stderr.  Uses
 only the standard library.
 """
 
