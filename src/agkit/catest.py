@@ -73,14 +73,8 @@ def render_extended_table(m: Magma, report: CaTestReport) -> str:
         raise ValueError("report does not belong to this magma")
     n, t = m.order, m.table
     star, circle = report.star_tables, report.circle_tables
-    marked = {
-        (x, i)
-        for x in range(n)
-        for i in range(n * n)
-        if star[x][i] != circle[x][i]
-    }
     w = len(str(n))
-    cw = w + 2 if marked else w
+    cw = w if report.verdict else w + 2
     blockw = n * cw + (n - 1)
     gut = w
 
@@ -94,6 +88,10 @@ def render_extended_table(m: Magma, report: CaTestReport) -> str:
     def row_of(values, a: int):
         return values[a * n:(a + 1) * n]
 
+    def band_row(values, other, a: int) -> str:
+        """Row a of one band, bracketing the cells that differ in the other."""
+        return " ".join(cell(v, v != o) for v, o in zip(row_of(values, a), row_of(other, a)))
+
     rule = "-+-".join(["-" * gut] + ["-" * blockw] * (n + 1))
     blank_gut = " " * gut
     blank_block = " " * blockw
@@ -105,22 +103,14 @@ def render_extended_table(m: Magma, report: CaTestReport) -> str:
     lines.append(rule)
     for a in range(n):
         parts = [str(a + 1).rjust(gut), block(row_of(t, a))]
-        for x in range(n):
-            vals = row_of(star[x], a)
-            parts.append(
-                " ".join(cell(v, (x, a * n + b) in marked) for b, v in enumerate(vals))
-            )
+        parts += [band_row(star[x], circle[x], a) for x in range(n)]
         lines.append(" | ".join(parts))
     lines.append(rule)
     labels = [blank_gut, blank_block] + [str(x + 1).center(blockw) for x in range(n)]
     lines.append(" | ".join(labels))
     for a in range(n):
         parts = [blank_gut, blank_block]
-        for x in range(n):
-            vals = row_of(circle[x], a)
-            parts.append(
-                " ".join(cell(v, (x, a * n + b) in marked) for b, v in enumerate(vals))
-            )
+        parts += [band_row(circle[x], star[x], a) for x in range(n)]
         lines.append(" | ".join(parts))
     lines.append(rule)
     return "\n".join(line.rstrip() for line in lines)

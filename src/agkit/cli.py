@@ -12,6 +12,7 @@ reader (128 + SIGPIPE; nothing is printed).
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import os
@@ -66,6 +67,14 @@ def _ascii_seconds(raw: str) -> float | None:
     return float(raw) if re.fullmatch(r"[0-9]+\.?[0-9]*|\.[0-9]+", raw) else None
 
 
+def _name_list(flag: str, raw: str, what: str) -> list[str]:
+    """The comma-separated names of raw, stripped; refuses a list of none."""
+    names = [s.strip() for s in raw.split(",") if s.strip()]
+    if not names:
+        raise ValueError(f"{flag} {raw!r} names no {what}")
+    return names
+
+
 def _require_allow_large(order: int, allow_large: bool) -> None:
     if order >= LARGE_ORDER_THRESHOLD and not allow_large:
         raise ValueError(
@@ -99,11 +108,7 @@ def _check_bounds(args: argparse.Namespace) -> None:
 
 def _cmd_check(args: argparse.Namespace) -> int:
     magmas = _load_magmas(args.table)
-    props: list[str] = []
-    if args.props is not None:
-        props = [p.strip() for p in args.props.split(",") if p.strip()]
-        if not props:
-            raise ValueError(f"--props {args.props!r} names no property")
+    props = _name_list("--props", args.props, "property") if args.props is not None else []
     expr = parse_property_expr(args.expr) if args.expr is not None else None
     predicate_mode = bool(props) or expr is not None
     if expr is not None:
@@ -133,22 +138,21 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
     if args.json:
         print(json.dumps(records, ensure_ascii=False))
-        return 0 if (all_true or not predicate_mode) else 1
-
-    single = len(magmas) == 1
-    for k, (m, rec) in enumerate(zip(magmas, records)):
-        prefix = "" if single else f"magma {k + 1}: "
-        if predicate_mode and single and len(props) + (expr is not None) == 1:
-            value = rec["expr"]["holds"] if expr is not None else next(iter(rec["props"].values()))
-            print("true" if value else "false")
-            continue
-        for name, value in rec["props"].items():
-            line = f"{prefix}{name}: {'true' if value else 'false'}"
-            if name in rec["witnesses"]:
-                line += f"  fails at {_one_based(tuple(rec['witnesses'][name]))} (1-based)"
-            print(line)
-        if expr is not None:
-            print(f"{prefix}{args.expr}: {'true' if rec['expr']['holds'] else 'false'}")
+    else:
+        single = len(magmas) == 1
+        for k, rec in enumerate(records):
+            prefix = "" if single else f"magma {k + 1}: "
+            if predicate_mode and single and len(props) + (expr is not None) == 1:
+                # One magma and one check: all_true is that check's value.
+                print("true" if all_true else "false")
+                continue
+            for name, value in rec["props"].items():
+                line = f"{prefix}{name}: {'true' if value else 'false'}"
+                if name in rec["witnesses"]:
+                    line += f"  fails at {_one_based(tuple(rec['witnesses'][name]))} (1-based)"
+                print(line)
+            if expr is not None:
+                print(f"{prefix}{args.expr}: {'true' if rec['expr']['holds'] else 'false'}")
     return 0 if (all_true or not predicate_mode) else 1
 
 
@@ -180,21 +184,20 @@ def _cmd_ca_test(args: argparse.Namespace) -> int:
             for m, r in out
         ]
         print(json.dumps(payload, ensure_ascii=False))
-        return 0 if all_ca else 1
-
-    single = len(out) == 1
-    for k, (m, r) in enumerate(out):
-        prefix = "" if single else f"magma {k + 1}: "
-        if r.verdict:
-            print(f"{prefix}cyclic associative: true")
-        else:
-            x, a, b = r.first_mismatch
-            print(
-                f"{prefix}cyclic associative: false  "
-                f"first mismatch at x={x + 1}, row={a + 1}, col={b + 1} (1-based)"
-            )
-        if args.render:
-            print(render_extended_table(m, r))
+    else:
+        single = len(out) == 1
+        for k, (m, r) in enumerate(out):
+            prefix = "" if single else f"magma {k + 1}: "
+            if r.verdict:
+                print(f"{prefix}cyclic associative: true")
+            else:
+                x, a, b = r.first_mismatch
+                print(
+                    f"{prefix}cyclic associative: false  "
+                    f"first mismatch at x={x + 1}, row={a + 1}, col={b + 1} (1-based)"
+                )
+            if args.render:
+                print(render_extended_table(m, r))
     return 0 if all_ca else 1
 
 
@@ -208,28 +211,27 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
     _require_allow_large(args.order, args.allow_large)
     expr = parse_property_expr(args.cls) if args.cls is not None else None
     partition = _parse_partition(args.partition)
-
-    out_stream = sys.stdout
-    close_out = False
-    if args.out and args.out != "-":
-        out_stream = open(args.out, "w", encoding="utf-8")
-        close_out = True
-
     matched = 0
-
-    def sink(m: Magma) -> None:
-        nonlocal matched
-        if expr is not None and not magma_satisfies(m, expr):
-            return
-        matched += 1
-        if not args.count_only:
-            print(render_magma(m, "compact"), file=out_stream)
 
     def progress(done: int, total: int, count: int) -> None:
         print(f"partition {done}/{total} done, {count} classes so far", file=sys.stderr)
 
     need_tables = expr is not None or not args.count_only
-    try:
+    # Opened only now, so bad input above leaves no truncated file.
+    if args.out and args.out != "-":
+        out = open(args.out, "w", encoding="utf-8")
+    else:
+        out = contextlib.nullcontext(sys.stdout)
+    with out as out_stream:
+
+        def sink(m: Magma) -> None:
+            nonlocal matched
+            if expr is not None and not magma_satisfies(m, expr):
+                return
+            matched += 1
+            if not args.count_only:
+                print(render_magma(m, "compact"), file=out_stream)
+
         total = enumerate_ag(
             args.order,
             sink if need_tables else None,
@@ -238,9 +240,6 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
             partition=partition,
             progress=progress if args.progress else None,
         )
-    finally:
-        if close_out:
-            out_stream.close()
 
     count = matched if expr is not None else total
     if args.count_only:
@@ -313,11 +312,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    ids = None
-    if args.claims is not None:
-        ids = [c.strip() for c in args.claims.split(",") if c.strip()]
-        if not ids:
-            raise ValueError(f"--claims {args.claims!r} names no claim id")
+    ids = _name_list("--claims", args.claims, "claim id") if args.claims is not None else None
     stop = None
     try:
         results = verify_claims(args.max_order, ids, budget=args.budget)

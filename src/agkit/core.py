@@ -109,9 +109,10 @@ def render_magma(m: Magma, style: str = "compact") -> str:
 def read_magmas(source: str | Path | Iterable[str]) -> list[Magma]:
     """Read magmas from table-file content: one compact encoding per line.
 
-    Blank lines and lines starting with '#' are skipped.  source is an
-    inline "n:e1,..." encoding, a file path or an iterable of lines; errors
-    in files and lines carry the 1-based line number.
+    Blank lines and lines starting with '#' are skipped, and one UTF-8
+    byte-order mark (U+FEFF) before the first line is dropped.  source is
+    an inline "n:e1,..." encoding, a file path or an iterable of lines;
+    errors in files and lines carry the 1-based line number.
     """
     if isinstance(source, str) and _INLINE.match(source):
         return [parse_magma(source)]
@@ -119,6 +120,8 @@ def read_magmas(source: str | Path | Iterable[str]) -> list[Magma]:
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = list(source)
+    if lines:
+        lines[0] = lines[0].removeprefix("\ufeff")
     out = []
     for lineno, raw in enumerate(lines, 1):
         line = raw.strip()

@@ -14,7 +14,8 @@ so a finite counterexample would surface here.  One verify_claims call
 appends every magma it scans to one pool and evaluates each expression
 over a whole scope at once, so no atom runs twice on one magma; the
 pool holds each magma once, as the bytes of its table, with no order
-beside it (_Pool).
+beside it (_Pool).  Only the AG universes are kept for the process
+(_UNIVERSE_CACHE); each run builds its own all-magma tables.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ from __future__ import annotations
 import math
 import time
 from dataclasses import dataclass
-from functools import lru_cache
 from itertools import product
 from typing import Sequence
 
@@ -459,12 +459,6 @@ def _ag_universe(n: int, deadline: float) -> tuple[bytes, ...]:
     return got
 
 
-@lru_cache(maxsize=None)
-def _all_magmas(n: int) -> tuple[bytes, ...]:
-    """Every table of order n in lexicographic order."""
-    return tuple(map(bytes, product(range(n), repeat=n * n)))
-
-
 class _Pool(AtomColumns):
     """One verify_claims run: the tables it scans, with their atom columns,
     the bundled tables by name (fixmap), its max_order and its
@@ -472,9 +466,12 @@ class _Pool(AtomColumns):
 
     Each source (the AG classes of one order, the all-magma tables of one
     order, the bundled tables) is appended once, when a claim first asks
-    for it, so an enumeration runs under the run's deadline.  The pool
-    holds each magma once, as the bytes of its table, and no Magma, pair
-    or tuple of ints; the order is the square root of the length.
+    for it, so an enumeration runs under the run's deadline.  The AG
+    classes come from the process-wide _UNIVERSE_CACHE; the all-magma
+    tables, every table of the order in lexicographic order, are built
+    here by each run.  The pool holds each magma once, as the bytes of
+    its table, and no Magma, pair or tuple of ints; the order is the
+    square root of the length.
     """
 
     def __init__(
@@ -492,8 +489,10 @@ class _Pool(AtomColumns):
         if got is None:
             if kind == "fixtures":
                 tables = (bytes(m.table) for m in self.fixmap.values())
+            elif kind == "all":
+                tables = map(bytes, product(range(n), repeat=n * n))
             else:
-                tables = _ag_universe(n, self.deadline) if kind == "ag" else _all_magmas(n)
+                tables = _ag_universe(n, self.deadline)
             got = self._sources[kind, n] = self.extend(tables)
         return got
 
@@ -516,6 +515,12 @@ def _implication_scope(part: Implication, pool: _Pool) -> tuple[list[int], str]:
     return indices, scope
 
 
+def _result(claim: Claim, status: str, scope: str, evidence: dict) -> ClaimResult:
+    return ClaimResult(
+        claim.id, claim.kind, status, scope, claim.external_premise, claim.statement, evidence,
+    )
+
+
 def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
     checked = 0
     scope = ""
@@ -526,16 +531,12 @@ def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
         bad = next((i for i in hits if i not in holds), None)
         if bad is not None:
             t = pool.tables[bad]
-            return ClaimResult(
-                claim.id, claim.kind, "counterexample", scope,
-                claim.external_premise, claim.statement,
+            return _result(
+                claim, "counterexample", scope,
                 {"part": k, "magma": render_magma(Magma(math.isqrt(len(t)), t), "compact")},
             )
         checked += len(indices)
-    return ClaimResult(
-        claim.id, claim.kind, "verified", scope, claim.external_premise,
-        claim.statement, {"scope_size": checked},
-    )
+    return _result(claim, "verified", scope, {"scope_size": checked})
 
 
 def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
@@ -577,10 +578,7 @@ def _run_witness(claim: Claim, pool: _Pool) -> ClaimResult:
         f"bundled tables, plus the enumerated universe at each fixture's "
         f"order when within max_order={pool.max_order}"
     )
-    return ClaimResult(
-        claim.id, claim.kind, "witness-found" if ok else "witness-missing",
-        scope, claim.external_premise, claim.statement, {"parts": parts},
-    )
+    return _result(claim, "witness-found" if ok else "witness-missing", scope, {"parts": parts})
 
 
 def verify_claims(

@@ -1,9 +1,13 @@
 """The extended-table cyclic associativity test and its rendering."""
 
+import hashlib
+import random
+
 import pytest
 from hypothesis import given
 
 from agkit import (
+    Magma,
     ca_test,
     check_property,
     mul,
@@ -152,3 +156,21 @@ def test_render_order_one():
     assert report.verdict
     text = render_extended_table(m, report)
     assert text.splitlines()[0].startswith("·")
+
+
+def _render_corpus(fixture_map) -> list[str]:
+    rng = random.Random(27)
+    tables = list(fixture_map.values())
+    for _ in range(200):
+        n = rng.randint(1, 5)
+        tables.append(Magma(n, tuple(rng.randrange(n) for _ in range(n * n))))
+    return [render_extended_table(m, ca_test(m)) for m in tables]
+
+
+def test_render_is_pinned(fixture_map):
+    """The extended tables of the bundled tables and 200 random tables of
+    orders 1-5, CA and not, byte for byte."""
+    text = "\n\n".join(_render_corpus(fixture_map))
+    assert hashlib.sha256(text.encode("utf-8")).hexdigest() == (
+        "4a061cd031515798373e183429764178fe9d4111d3f24a89f4251e7297ef2900"
+    )

@@ -186,6 +186,22 @@ def test_check_stdin(capsys, monkeypatch):
     assert out.strip() == "true"
 
 
+_BOM_TABLE = "\ufeff3:0,0,0,0,0,0,0,1,0\n"
+
+
+def test_check_file_with_byte_order_mark(capsys, tmp_path):
+    path = tmp_path / "tables.txt"
+    path.write_bytes(_BOM_TABLE.encode("utf-8"))
+    assert path.read_bytes().startswith(b"\xef\xbb\xbf3:")
+    assert run(capsys, "check", str(path), "--props", "ag") == (0, "true\n", "")
+
+
+def test_check_stdin_with_byte_order_mark(capsys, monkeypatch):
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(_BOM_TABLE))
+    assert run(capsys, "check", "-", "--props", "ag") == (0, "true\n", "")
+
+
 def test_ca_test_verdicts_and_exit(capsys):
     code, out, _ = run(capsys, "ca-test", "3:0,0,0,0,1,0,0,0,2")
     assert code == 0

@@ -114,6 +114,16 @@ def test_read_magmas_from_file(tmp_path):
     assert [m.order for m in ms] == [2, 3]
 
 
+def test_read_magmas_drops_one_leading_byte_order_mark():
+    assert read_magmas(["\ufeff# header", "2:0,0,0,0"]) == [parse_magma("2:0,0,0,0")]
+    assert read_magmas(["\ufeff2:0,0,0,0"]) == [parse_magma("2:0,0,0,0")]
+    # Only before the first line, and only one.
+    with pytest.raises(ParseError, match="line 2"):
+        read_magmas(["2:0,0,0,0", "\ufeff2:0,0,0,0"])
+    with pytest.raises(ParseError, match="line 1"):
+        read_magmas(["\ufeff\ufeff2:0,0,0,0"])
+
+
 def test_read_magmas_error_names_line():
     with pytest.raises(ParseError, match="line 2"):
         read_magmas(["2:0,0,0,0", "2:9,0,0,0"])

@@ -284,6 +284,15 @@ def test_pool_holds_each_magma_as_bytes(monkeypatch):
     )
 
 
+def test_universe_cache_is_the_only_process_wide_store():
+    # Every other table a verify run scans lives in that run's pool.
+    from agkit import theorems
+
+    cached = [name for name, value in vars(theorems).items() if hasattr(value, "cache_info")]
+    assert cached == []
+    assert type(theorems._UNIVERSE_CACHE) is dict
+
+
 def test_duplicate_tables_play_distinct_roles(fixture_map):
     # several published tables repeat an earlier table verbatim
     assert fixture_map["table4"] == fixture_map["table7"] == fixture_map["table8"]
