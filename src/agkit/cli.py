@@ -38,14 +38,9 @@ from .props import (
     classify,
     magma_satisfies,
     parse_property_expr,
+    require_property,
 )
 from .theorems import ClaimBudgetError, verify_claims
-
-
-def _load_magmas(source: str) -> list[Magma]:
-    if source == "-":
-        return read_magmas(sys.stdin.read().splitlines())
-    return read_magmas(source)
 
 
 def _one_based(witness: tuple[int, ...]) -> str:
@@ -107,9 +102,11 @@ def _check_bounds(args: argparse.Namespace) -> None:
 
 
 def _cmd_check(args: argparse.Namespace) -> int:
-    magmas = _load_magmas(args.table)
     props = _name_list("--props", args.props, "property") if args.props is not None else []
+    for name in props:
+        require_property(name)
     expr = parse_property_expr(args.expr) if args.expr is not None else None
+    magmas = read_magmas(args.table)
     predicate_mode = bool(props) or expr is not None
     if expr is not None:
         columns = AtomColumns(m.table for m in magmas)
@@ -118,7 +115,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
     records = []
     all_true = True
     for k, m in enumerate(magmas):
-        rec: dict = {"magma": render_magma(m, "compact"), "props": {}, "witnesses": {}}
+        rec: dict = {"magma": render_magma(m), "props": {}, "witnesses": {}}
         if predicate_mode:
             for name in props:
                 res = check_property(m, name)
@@ -157,7 +154,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
 
 
 def _cmd_ca_test(args: argparse.Namespace) -> int:
-    magmas = _load_magmas(args.table)
+    magmas = read_magmas(args.table)
     out = []
     all_ca = True
     non_ag = [k for k, m in enumerate(magmas, 1) if not check_property(m, "ag").holds]
@@ -175,7 +172,7 @@ def _cmd_ca_test(args: argparse.Namespace) -> int:
     if args.json:
         payload = [
             {
-                "magma": render_magma(m, "compact"),
+                "magma": render_magma(m),
                 "verdict": r.verdict,
                 "first_mismatch": list(r.first_mismatch) if r.first_mismatch else None,
                 "star_tables": r.star_tables,
@@ -202,8 +199,8 @@ def _cmd_ca_test(args: argparse.Namespace) -> int:
 
 
 def _cmd_canon(args: argparse.Namespace) -> int:
-    for m in _load_magmas(args.table):
-        print(render_magma(canonical_form(m), "compact"))
+    for m in read_magmas(args.table):
+        print(render_magma(canonical_form(m)))
     return 0
 
 
@@ -230,7 +227,7 @@ def _cmd_enumerate(args: argparse.Namespace) -> int:
                 return
             matched += 1
             if not args.count_only:
-                print(render_magma(m, "compact"), file=out_stream)
+                print(render_magma(m), file=out_stream)
 
         total = enumerate_ag(
             args.order,

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterable
@@ -85,38 +86,33 @@ def parse_magma(text: str) -> Magma:
     return Magma(n, tuple(entries))
 
 
-def render_magma(m: Magma, style: str = "compact") -> str:
-    """Render a magma.
+def render_magma(m: Magma) -> str:
+    """The compact encoding "n:e1,...", the exact inverse of parse_magma.
 
-    "compact" is the exact inverse of parse_magma.  "grid-1based" is a
-    bordered Cayley table with 1-based element labels.
+    The one grid the program prints is ca-test --render's extended table.
     """
-    if style == "compact":
-        return f"{m.order}:" + ",".join(str(e) for e in m.table)
-    if style == "grid-1based":
-        n = m.order
-        w = len(str(n))
-        header = " ".join(str(b + 1).rjust(w) for b in range(n))
-        lines = ["·".rjust(w) + " | " + header]
-        lines.append("-" * w + "-+-" + "-" * len(header))
-        for a in range(n):
-            row = " ".join(str(m.table[a * n + b] + 1).rjust(w) for b in range(n))
-            lines.append(str(a + 1).rjust(w) + " | " + row)
-        return "\n".join(lines)
-    raise ValueError(f"unknown style {style!r}")
+    return f"{m.order}:" + ",".join(str(e) for e in m.table)
 
 
 def read_magmas(source: str | Path | Iterable[str]) -> list[Magma]:
-    """Read magmas from table-file content: one compact encoding per line.
+    """Read magmas, one compact encoding per line, from any table source.
 
-    Blank lines and lines starting with '#' are skipped, and one UTF-8
-    byte-order mark (U+FEFF) before the first line is dropped.  source is
-    an inline "n:e1,..." encoding, a file path or an iterable of lines;
-    errors in files and lines carry the 1-based line number.
+    A str is "-" for standard input, an inline "n:e1,..." encoding or a
+    file path, once one leading UTF-8 byte-order mark (U+FEFF) is dropped;
+    an empty one is refused.  A Path is a file, Path("-") too; any other
+    iterable is the lines.  Blank lines, lines starting with '#' and one
+    mark before the first line are skipped; errors in files and lines
+    carry the 1-based line number.
     """
-    if isinstance(source, str) and _INLINE.match(source):
-        return [parse_magma(source)]
-    if isinstance(source, (str, Path)):
+    if isinstance(source, str):
+        source = source.removeprefix("\ufeff")
+        if not source:
+            raise ParseError("empty table argument ''; give n:e1,..., a file path or -")
+        if _INLINE.match(source):
+            return [parse_magma(source)]
+    if source == "-":
+        lines = sys.stdin.read().splitlines()
+    elif isinstance(source, (str, Path)):
         lines = Path(source).read_text(encoding="utf-8").splitlines()
     else:
         lines = list(source)

@@ -360,15 +360,18 @@ class PropertyVector:
         return dict(zip(CATALOG, self.flags))
 
 
+def require_property(p: str) -> None:
+    """Raise UnknownPropertyError unless p is a catalog property name."""
+    if p not in _INDEX:
+        raise UnknownPropertyError(f"unknown property {p!r}; valid names: {', '.join(CATALOG)}")
+
+
 def check_property(m: Magma, p: str) -> CheckResult:
     """Check one catalog property, a composite part by part in COMPOSITES
     order.  Each checker scans m.table itself over range(m.order), so the
     first falsifying tuple it returns is the smallest; a composite reports
     its first failing part's."""
-    if p not in _INDEX:
-        raise UnknownPropertyError(
-            f"unknown property {p!r}; valid names: {', '.join(CATALOG)}"
-        )
+    require_property(p)
     for part in COMPOSITES.get(p, (p,)):
         w = CHECKERS[part](m.order, m.table, range(m.order))
         if w is not None:

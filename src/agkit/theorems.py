@@ -464,32 +464,31 @@ class _Pool(AtomColumns):
     the bundled tables by name (fixmap), its max_order and its
     time.monotonic() deadline (math.inf for none).
 
-    Each source (the AG classes of one order, the all-magma tables of one
-    order, the bundled tables) is appended once, when a claim first asks
-    for it, so an enumeration runs under the run's deadline.  The AG
-    classes come from the process-wide _UNIVERSE_CACHE; the all-magma
-    tables, every table of the order in lexicographic order, are built
-    here by each run.  The pool holds each magma once, as the bytes of
-    its table, and no Magma, pair or tuple of ints; the order is the
-    square root of the length.
+    The bundled tables enter at construction; bundled maps each name to
+    its index.  Each other source (the AG classes or the all-magma tables
+    of one order) is appended once, when a claim first asks for it, so an
+    enumeration runs under the run's deadline.  The AG classes come from
+    the process-wide _UNIVERSE_CACHE; the all-magma tables, every table
+    of the order in lexicographic order, are built here by each run.  The
+    pool holds each magma once, as the bytes of its table, and no Magma,
+    pair or tuple of ints; the order is the square root of the length.
     """
 
     def __init__(
         self, fixmap: dict[str, Magma], max_order: int, deadline: float = math.inf,
     ) -> None:
-        super().__init__()
+        super().__init__(bytes(m.table) for m in fixmap.values())
         self.fixmap = fixmap
+        self.bundled = {name: i for i, name in enumerate(fixmap)}
         self.max_order = max_order
         self.deadline = deadline
         self._sources: dict[tuple[str, int], range] = {}
 
-    def source(self, kind: str, n: int = 0) -> range:
-        """The indices of source kind ("ag", "all" or "fixtures") at order n."""
+    def source(self, kind: str, n: int) -> range:
+        """The indices of source kind ("ag" or "all") at order n."""
         got = self._sources.get((kind, n))
         if got is None:
-            if kind == "fixtures":
-                tables = (bytes(m.table) for m in self.fixmap.values())
-            elif kind == "all":
+            if kind == "all":
                 tables = map(bytes, product(range(n), repeat=n * n))
             else:
                 tables = _ag_universe(n, self.deadline)
@@ -508,7 +507,8 @@ def _implication_scope(part: Implication, pool: _Pool) -> tuple[list[int], str]:
             f"all magmas of order <= {cap}, plus AG classes of order <= "
             f"{max_order} and bundled tables"
         )
-    indices = [i for r in ranges + [pool.source("fixtures")] for i in r]
+    # The bundled tables come last, whatever their place in the pool.
+    indices = [i for r in ranges for i in r] + list(pool.bundled.values())
     if part.within is not None:
         indices = pool.select(parse_property_expr(part.within), indices)
         scope = f"{part.within} magmas among {scope}"
@@ -533,14 +533,14 @@ def _run_implication(claim: Claim, pool: _Pool) -> ClaimResult:
             t = pool.tables[bad]
             return _result(
                 claim, "counterexample", scope,
-                {"part": k, "magma": render_magma(Magma(math.isqrt(len(t)), t), "compact")},
+                {"part": k, "magma": render_magma(Magma(math.isqrt(len(t)), t))},
             )
         checked += len(indices)
     return _result(claim, "verified", scope, {"scope_size": checked})
 
 
 def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
-    i = pool.source("fixtures")[list(pool.fixmap).index(part.fixture)]
+    i = pool.bundled[part.fixture]
     m = pool.fixmap[part.fixture]
     expr = parse_property_expr(part.expr)
     satisfied = bool(pool.select(expr, [i]))
@@ -556,7 +556,7 @@ def _witness_part_report(part: WitnessSpec, pool: _Pool) -> dict:
     report: dict = {
         "fixture": part.fixture,
         "expr": part.expr,
-        "magma": render_magma(m, "compact"),
+        "magma": render_magma(m),
         "satisfied": satisfied,
         "atoms": atoms,
         "falsifying": falsifying,

@@ -70,4 +70,4 @@ def test_compare_names_each_differing_output():
         "differ": {"out": ["stdout"], "err and code": ["stderr", "exit_code"]},
     }
     assert bench_pairs.compare(parent, parent) == {"identical": 3, "differ": {}}
-    assert len(bench_pairs.CMP_COMMANDS) == 45
+    assert len(bench_pairs.CMP_COMMANDS) == 49

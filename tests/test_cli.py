@@ -202,6 +202,33 @@ def test_check_stdin_with_byte_order_mark(capsys, monkeypatch):
     assert run(capsys, "check", "-", "--props", "ag") == (0, "true\n", "")
 
 
+def test_check_inline_argument_with_byte_order_mark(capsys):
+    assert run(capsys, "check", _BOM_TABLE.strip("\n"), "--props", "ag") == (0, "true\n", "")
+
+
+def test_check_empty_table_argument_exits_two(capsys):
+    code, out, err = run(capsys, "check", "")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: empty table argument ''") and err.count("\n") == 1
+
+
+def test_check_refuses_unknown_property_before_reading(capsys, monkeypatch):
+    # No magma reaches check_property here, so the names are checked first.
+    import io
+    monkeypatch.setattr("sys.stdin", io.StringIO(""))
+    code, out, err = run(capsys, "check", "-", "--props", "ag,bogus")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: unknown property 'bogus'; valid names: ")
+    # Nor is a missing file reached before a bad --props or --expr.
+    missing = "no such tables.txt"
+    assert run(capsys, "check", missing, "--props", "bogus")[2].startswith(
+        "error: unknown property 'bogus'")
+    assert run(capsys, "check", missing, "--expr", "ag &")[2].startswith(
+        "error: property expression ended early")
+
+
 def test_ca_test_verdicts_and_exit(capsys):
     code, out, _ = run(capsys, "ca-test", "3:0,0,0,0,1,0,0,0,2")
     assert code == 0

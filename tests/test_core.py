@@ -1,5 +1,8 @@
 """Magma construction, parsing, and rendering."""
 
+import io
+from pathlib import Path
+
 import pytest
 from hypothesis import given
 
@@ -71,28 +74,12 @@ def test_parse_magma_errors_carry_position():
 
 def test_compact_render_round_trips():
     text = "3:0,0,0,0,1,0,0,0,2"
-    assert render_magma(parse_magma(text), "compact") == text
+    assert render_magma(parse_magma(text)) == text
 
 
 @given(magmas(max_order=5))
 def test_render_parse_round_trip(m):
-    assert parse_magma(render_magma(m, "compact")) == m
-
-
-def test_grid_render_is_one_based():
-    m = parse_magma("4:0,0,0,0,0,0,0,0,0,0,0,0,0,0,1,2")
-    text = render_magma(m, "grid-1based")
-    lines = text.splitlines()
-    assert lines[0].split("|")[0].strip() == "·"
-    assert lines[0].split("|")[1].split() == ["1", "2", "3", "4"]
-    assert lines[2].split("|")[1].split() == ["1", "1", "1", "1"]
-    assert lines[5].split("|")[1].split() == ["1", "1", "2", "3"]
-
-
-def test_grid_render_unknown_style():
-    m = parse_magma("2:0,0,0,0")
-    with pytest.raises(ValueError):
-        render_magma(m, "fancy")
+    assert parse_magma(render_magma(m)) == m
 
 
 def test_read_magmas_from_lines_and_comments():
@@ -122,6 +109,27 @@ def test_read_magmas_drops_one_leading_byte_order_mark():
         read_magmas(["2:0,0,0,0", "\ufeff2:0,0,0,0"])
     with pytest.raises(ParseError, match="line 1"):
         read_magmas(["\ufeff\ufeff2:0,0,0,0"])
+
+
+def test_read_magmas_drops_the_mark_before_an_inline_encoding():
+    text = "3:0,0,0,0,0,0,0,1,0"
+    assert read_magmas("\ufeff" + text) == [parse_magma(text)]
+
+
+def test_read_magmas_refuses_an_empty_string():
+    # Path("") is the current directory; an empty argument names no table.
+    for source in ("", "\ufeff"):
+        with pytest.raises(ParseError, match="empty table argument"):
+            read_magmas(source)
+
+
+def test_read_magmas_dash_is_standard_input(monkeypatch, tmp_path):
+    monkeypatch.setattr("sys.stdin", io.StringIO("\ufeff# header\n2:0,0,0,0\n2:0,1,1,0\n"))
+    assert read_magmas("-") == [parse_magma("2:0,0,0,0"), parse_magma("2:0,1,1,0")]
+    # A Path names a file, even one called "-".
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "-").write_text("1:0\n")
+    assert read_magmas(Path("-")) == [parse_magma("1:0")]
 
 
 def test_read_magmas_error_names_line():

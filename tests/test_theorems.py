@@ -276,7 +276,7 @@ def test_pool_holds_each_magma_as_bytes(monkeypatch):
         got = [pool.tables[i] for i in pool.source("ag", n)]
         assert got == [bytes(m.table) for m in stream]
         assert all(type(t) is bytes for t in got)
-    got = [pool.tables[i] for i in pool.source("fixtures")]
+    got = [pool.tables[pool.bundled[name]] for name in fixmap]
     assert got == [bytes(m.table) for m in fixmap.values()]
     assert list(theorems._UNIVERSE_CACHE) == [1, 2, 3, 4]
     assert all(

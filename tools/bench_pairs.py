@@ -76,7 +76,8 @@ CMP_COMMANDS: list[list[str]] = [
           ["check", f, "--props", PROPS],
           ["check", f, "--props", PROPS, "--json"],
           ["canon", f],
-          ["ca-test", f, "--json"])),
+          ["ca-test", f, "--json"],
+          ["ca-test", f, "--render"])),
 ]
 CMP_FIELDS = ("stdout", "stderr", "exit_code")
 
