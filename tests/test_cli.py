@@ -215,7 +215,6 @@ def test_check_empty_table_argument_exits_two(capsys):
 
 def test_check_refuses_unknown_property_before_reading(capsys, monkeypatch):
     # No magma reaches check_property here, so the names are checked first.
-    import io
     monkeypatch.setattr("sys.stdin", io.StringIO(""))
     code, out, err = run(capsys, "check", "-", "--props", "ag,bogus")
     assert code == 2
