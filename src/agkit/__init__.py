@@ -23,7 +23,6 @@ from .enumeration import (
     PUBLISHED_CENSUS,
     ROW_ORDER,
     BudgetExceeded,
-    EnumerationReport,
     classify_census,
     enumerate_ag,
 )
@@ -36,7 +35,6 @@ from .props import (
     CATALOG,
     CheckResult,
     PropertyExpr,
-    PropertyVector,
     UnknownPropertyError,
     check_property,
     classify,
@@ -68,7 +66,6 @@ __all__ = [
     "CATALOG",
     "CheckResult",
     "PropertyExpr",
-    "PropertyVector",
     "UnknownPropertyError",
     "check_property",
     "classify",
@@ -86,7 +83,6 @@ __all__ = [
     "PUBLISHED_CENSUS",
     "ROW_ORDER",
     "BudgetExceeded",
-    "EnumerationReport",
     "classify_census",
     "enumerate_ag",
     "CLAIM_IDS",

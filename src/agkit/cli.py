@@ -63,8 +63,9 @@ def _ascii_seconds(raw: str) -> float | None:
 
 
 def _name_list(flag: str, raw: str, what: str) -> list[str]:
-    """The comma-separated names of raw, stripped; refuses a list of none."""
-    names = [s.strip() for s in raw.split(",") if s.strip()]
+    """The comma-separated names of raw, stripped, each kept at its first
+    place only; refuses a list of none."""
+    names = list(dict.fromkeys(s.strip() for s in raw.split(",") if s.strip()))
     if not names:
         raise ValueError(f"{flag} {raw!r} names no {what}")
     return names
@@ -130,7 +131,7 @@ def _cmd_check(args: argparse.Namespace) -> int:
                 if not value:
                     all_true = False
         else:
-            rec["props"] = classify(m).as_dict()
+            rec["props"] = classify(m)
         records.append(rec)
 
     if args.json:
@@ -259,7 +260,7 @@ def _cmd_classify(args: argparse.Namespace) -> int:
     _require_allow_large(args.order, args.allow_large)
     stop = None
     try:
-        counts = classify_census(args.order, jobs=args.jobs, budget=args.budget).counts
+        counts = classify_census(args.order, jobs=args.jobs, budget=args.budget)
     except BudgetExceeded as exc:
         counts, stop = exc.partial_counts, exc
     partial = stop is not None

@@ -42,10 +42,6 @@ class Magma:
             if type(e) is not int or not 0 <= e < n:
                 raise ValueError(f"table entry {e!r} at position {i + 1} not in 0..{n - 1}")
 
-    def rows(self) -> list[tuple[int, ...]]:
-        n = self.order
-        return [self.table[i * n:(i + 1) * n] for i in range(n)]
-
 
 def mul(m: Magma, a: int, b: int) -> int:
     """Product a*b by table lookup."""

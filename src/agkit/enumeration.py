@@ -26,7 +26,6 @@ import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from functools import partial
 from typing import Callable
 
@@ -65,14 +64,6 @@ PUBLISHED_INCONSISTENT_CELLS: dict[tuple[int, str], int] = {
 }
 
 
-@dataclass(frozen=True)
-class EnumerationReport:
-    """Census counts for one order, keyed by the ROW_ORDER class names."""
-
-    order: int
-    counts: dict[str, int]
-
-
 class BudgetExceeded(RuntimeError):
     """The budget ran out; partial progress is attached.
 
@@ -89,7 +80,8 @@ class BudgetExceeded(RuntimeError):
     starts a run there yet.  partial_count includes the classes the
     interrupted unit had emitted, which such a resume counts again.
     partial_counts is None here; classify_census sets it to the census
-    rows of the same classes.
+    rows of the same classes, a dict of the shape classify_census
+    returns, so a finished census and a stopped one read alike.
     """
 
     def __init__(self, order: int, partial_count: int, partitions_done: int, partitions_total: int):
@@ -425,12 +417,13 @@ def enumerate_ag(
 
 def classify_census(
     n: int, *, jobs: int = 1, budget: float | None = None,
-) -> EnumerationReport:
-    """Count the census classes among AG-groupoids of order n.
+) -> dict[str, int]:
+    """The census rows of the AG-groupoids of order n: a dict of one
+    class count per ROW_ORDER name, in ROW_ORDER order.
 
     Each unit's _census tally is summed.  Class predicates are the props
     checkers; the counts satisfy the arithmetic identities relating the
-    eight ROW_ORDER rows.  On overrun the BudgetExceeded carries, in
+    eight rows.  On overrun the BudgetExceeded carries, in
     partial_counts, the rows of the classes counted so far.
     """
     acc = [0, 0, 0, 0]
@@ -444,4 +437,4 @@ def classify_census(
     except BudgetExceeded as exc:
         exc.partial_counts = _census_counts(exc.partial_count, acc)
         raise
-    return EnumerationReport(n, _census_counts(total, acc))
+    return _census_counts(total, acc)

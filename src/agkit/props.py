@@ -315,8 +315,6 @@ CATALOG: tuple[str, ...] = (
     "T3",
 )
 
-_INDEX = {name: i for i, name in enumerate(CATALOG)}
-
 
 _ALL_LAWS = {**LAWS, **CLAIM_LAWS}
 CHECKERS: dict[str, Checker] = {name: _compile_law(name, law) for name, law in _ALL_LAWS.items()}
@@ -344,25 +342,9 @@ class CheckResult:
     witness: tuple[int, ...] | None
 
 
-@dataclass(frozen=True)
-class PropertyVector:
-    """One boolean per catalog property, in CATALOG order."""
-
-    flags: tuple[bool, ...]
-
-    def __getitem__(self, name: str) -> bool:
-        try:
-            return self.flags[_INDEX[name]]
-        except KeyError:
-            raise UnknownPropertyError(f"unknown property {name!r}") from None
-
-    def as_dict(self) -> dict[str, bool]:
-        return dict(zip(CATALOG, self.flags))
-
-
 def require_property(p: str) -> None:
     """Raise UnknownPropertyError unless p is a catalog property name."""
-    if p not in _INDEX:
+    if p not in CATALOG:
         raise UnknownPropertyError(f"unknown property {p!r}; valid names: {', '.join(CATALOG)}")
 
 
@@ -380,15 +362,16 @@ def check_property(m: Magma, p: str) -> CheckResult:
     return CheckResult(True, None)
 
 
-def classify(m: Magma) -> PropertyVector:
-    """Evaluate the full catalog for one magma: each property that is no
-    composite runs its checker once, and each composite is the conjunction
-    of its parts."""
+def classify(m: Magma) -> dict[str, bool]:
+    """Evaluate the full catalog for one magma: a dict of one flag per
+    CATALOG name, in CATALOG order.  Each property that is no composite
+    runs its checker once, and each composite is the conjunction of its
+    parts."""
     n, t = m.order, m.table
     holds = {name: CHECKERS[name](n, t) is None for name in CATALOG if name not in COMPOSITES}
     for name, parts in COMPOSITES.items():
         holds[name] = all(holds[part] for part in parts)
-    return PropertyVector(tuple(holds[name] for name in CATALOG))
+    return {name: holds[name] for name in CATALOG}
 
 
 # --- property expressions -------------------------------------------------

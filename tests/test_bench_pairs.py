@@ -71,3 +71,26 @@ def test_compare_names_each_differing_output():
     }
     assert bench_pairs.compare(parent, parent) == {"identical": 3, "differ": {}}
     assert len(bench_pairs.CMP_COMMANDS) == 49
+
+
+def test_rss_summary_of_fixed_rounds():
+    def probe(verify, count):
+        return {"verify_mib": verify, "count_mib": count, "gap_mib": verify - count}
+
+    rounds = [
+        {"parent": probe(25.0, 19.0), "change": probe(25.5, 19.0)},
+        {"parent": probe(26.0, 19.5), "change": probe(28.0, 19.0)},
+        {"parent": probe(25.5, 19.0), "change": probe(25.0, 19.5)},
+    ]
+    got = bench_pairs.summarize_rss(rounds, 8)
+    assert got["parent"]["verify_mib"] == {
+        "runs": [25.0, 26.0, 25.5], "median": 25.5, "min": 25.0, "max": 26.0,
+    }
+    assert got["parent"]["gap_mib"]["runs"] == [6.0, 6.5, 6.5]
+    assert got["parent"]["within_bound"] is True
+    # One gap of 9 MiB in three rounds puts the change outside the bound.
+    assert got["change"]["gap_mib"] == {
+        "runs": [6.5, 9.0, 5.5], "median": 6.5, "min": 5.5, "max": 9.0,
+    }
+    assert got["change"]["count_mib"]["median"] == 19.0
+    assert got["change"]["within_bound"] is False

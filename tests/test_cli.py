@@ -39,6 +39,17 @@ def test_check_order_one_trivial(capsys):
     assert out.strip() == "true"
 
 
+def test_check_repeated_property_is_checked_once(capsys, monkeypatch):
+    # A repeated --props name keeps its first place only, as --claims does.
+    calls = []
+    real = cli.check_property
+    monkeypatch.setattr(cli, "check_property", lambda m, p: calls.append(p) or real(m, p))
+    code, out, _ = run(capsys, "check", "1:0", "--props", "ag,ag, ag")
+    assert (code, out, calls) == (0, "true\n", ["ag"])
+    code, out, _ = run(capsys, "check", "3:0,0,0,0,0,0,0,1,0", "--props", "band,ag,band")
+    assert out.splitlines() == ["band: false  fails at (2) (1-based)", "ag: true"]
+
+
 def test_check_expr_false_exits_one(capsys):
     code, out, _ = run(capsys, "check", "3:0,0,0,0,0,0,0,1,0", "--expr", "cyclic_associative")
     assert code == 1

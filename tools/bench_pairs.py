@@ -21,23 +21,31 @@ and random.txt holds 150 random tables of each order 1-7 from
 random.Random(4).  The commands whose stdout, stderr or exit code differ
 between the trees are printed to stderr.
 
+Then, pairs times, CHANGE's tools/rss_gap.py probe runs once against
+each tree's src, in the same alternating order: the peak RSS of verify
+--max-order 5 --json and of enumerate --order 5 --count-only, and their
+gap, which a CI step bounds by rss_gap.BOUND_MIB.
+
 Prints one JSON object.  Its "cmp" lists the commands, counts the
 identical ones and maps each differing one to the outputs that differ.
-Its "workloads" maps each workload to its pairs (each side's correct,
-attempted, failed and metrics, as run.py prints them), to all_correct,
-failed_ops and attempted_ops, and to a summary per end-to-end metric:
-every value on each side, each side's quartiles and median from
-statistics.quantiles(n=4), median_change (the change median minus the
-parent median, over the parent median), the parent's interquartile
-range, the bound of BENCHMARK.json and whether the change stays within
-it, and change_wins, the pairs in which the change was better, ties
-counting for neither side.  Progress goes to stderr.  Uses
-only the standard library.
+Its "peak_rss_probe" lists each round of the probe and summarises each
+side: every value, its median and its range, and whether every gap
+stayed within the bound.  Its "workloads" maps each workload to its
+pairs (each side's correct, attempted, failed and metrics, as run.py
+prints them), to all_correct, failed_ops and attempted_ops, and to a
+summary per end-to-end metric: every value on each side, each side's
+quartiles and median from statistics.quantiles(n=4), median_change (the
+change median minus the parent median, over the parent median), the
+parent's interquartile range, the bound of BENCHMARK.json and whether
+the change stays within it, and change_wins, the pairs in which the
+change was better, ties counting for neither side.  Progress goes to
+stderr.  Uses only the standard library.
 """
 
 from __future__ import annotations
 
 import argparse
+import importlib.util
 import io
 import json
 import os
@@ -114,6 +122,20 @@ def summarize(pairs: list[dict], end_to_end: list[dict]) -> dict:
     return out
 
 
+def summarize_rss(rounds: list[dict], bound: float) -> dict:
+    """The summary of the peak-RSS probe: rounds is a list of {"parent":
+    probe, "change": probe} with each probe as rss_gap.probe returns it."""
+    out = {}
+    for side in SIDES:
+        out[side] = {}
+        for field in rounds[0][side]:
+            runs = [r[side][field] for r in rounds]
+            out[side][field] = {"runs": runs, "median": statistics.median(runs),
+                                "min": min(runs), "max": max(runs)}
+        out[side]["within_bound"] = out[side]["gap_mib"]["max"] <= bound
+    return out
+
+
 def compare(parent: dict[str, tuple], change: dict[str, tuple]) -> dict:
     """The cmp section: parent and change map each command to its
     (stdout, stderr, exit_code), and each differing command maps to the
@@ -163,6 +185,30 @@ def extract(rev: str, dest: Path) -> None:
         tar.extractall(dest, filter="data")
 
 
+def run_rss_probe(trees: dict[str, Path], rounds: int) -> dict:
+    """The peak_rss_probe section: CHANGE's rss_gap.probe against each
+    tree's src, rounds times, the parent first in odd rounds."""
+    path = trees["change"] / "tools" / "rss_gap.py"
+    spec = importlib.util.spec_from_file_location("rss_gap", path)
+    rss_gap = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(rss_gap)
+    probes = []
+    for k in range(1, rounds + 1):
+        order = SIDES if k % 2 else SIDES[::-1]
+        probe: dict = {"round": k, "first": order[0]}
+        for side in order:
+            print(f"rss probe {k} {side}", file=sys.stderr, flush=True)
+            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
+            probe[side] = rss_gap.probe(env, trees[side])
+        probes.append(probe)
+    return {
+        "command": "tools/rss_gap.py of CHANGE, with each tree's src on PYTHONPATH",
+        "bound_mib": rss_gap.BOUND_MIB,
+        "rounds": probes,
+        "summary": summarize_rss(probes, rss_gap.BOUND_MIB),
+    }
+
+
 def run_once(tree: Path, workload: str, seed: int, seconds: int) -> dict:
     """run.py's result line for one end-to-end run in tree."""
     argv = [sys.executable, "perfbench/run.py", "--workload", workload, "--seed", str(seed),
@@ -191,6 +237,7 @@ def main(argv: list[str] | None = None) -> int:
         cmp = compare(*(run_cmp(trees[s], inputs) for s in SIDES))
         for command, fields in cmp["differ"].items():
             print(f"cmp: {', '.join(fields)} differ: {command}", file=sys.stderr, flush=True)
+        rss = run_rss_probe(trees, args.pairs)
         spec = json.loads((trees["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
         names = [w["name"] for w in spec["workloads"]]
         seconds = spec["run_seconds"]
@@ -210,6 +257,7 @@ def main(argv: list[str] | None = None) -> int:
         "parent": args.parent,
         "change": args.change,
         "cmp": {"commands": [shlex.join(argv) for argv in CMP_COMMANDS], **cmp},
+        "peak_rss_probe": rss,
         "workloads": workloads,
     }, indent=1))
     return 0
