@@ -11,7 +11,7 @@ from agkit import Magma, ParseError, mul, parse_magma, read_magmas, render_magma
 from conftest import magmas
 
 
-def test_magma_construction_and_rows():
+def test_magma_construction():
     m = Magma(2, (0, 1, 1, 0))
     assert m.order == 2
     assert m.table == (0, 1, 1, 0)

@@ -192,7 +192,7 @@ def test_unknown_property_raises():
         classify(m)["nope"]
 
 
-def test_property_vector_accessors():
+def test_classify_is_a_dict_in_catalog_order():
     d = classify(parse_magma("1:0"))
     assert list(d) == list(CATALOG)
     assert all(d.values())

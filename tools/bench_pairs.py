@@ -22,7 +22,8 @@ random.Random(4).  The commands whose stdout, stderr or exit code differ
 between the trees are printed to stderr.
 
 Then, pairs times, CHANGE's tools/rss_gap.py probe runs once against
-each tree's src, in the same alternating order: the peak RSS of verify
+each tree's src, each time in a fresh interpreter, in the same
+alternating order: the peak RSS of verify
 --max-order 5 --json and of enumerate --order 5 --count-only, and their
 gap, which a CI step bounds by rss_gap.BOUND_MIB.
 
@@ -187,22 +188,33 @@ def extract(rev: str, dest: Path) -> None:
 
 def run_rss_probe(trees: dict[str, Path], rounds: int) -> dict:
     """The peak_rss_probe section: CHANGE's rss_gap.probe against each
-    tree's src, rounds times, the parent first in odd rounds."""
-    path = trees["change"] / "tools" / "rss_gap.py"
-    spec = importlib.util.spec_from_file_location("rss_gap", path)
+    tree's src, rounds times, the parent first in odd rounds.
+
+    Each probe runs in a fresh interpreter, as in CI: Linux carries the
+    peak RSS of the spawning process over to the child across exec, so a
+    probe run from this process, which holds the cmp outputs, would read
+    this process's peak for both commands.
+    """
+    tools = trees["change"] / "tools"
+    spec = importlib.util.spec_from_file_location("rss_gap", tools / "rss_gap.py")
     rss_gap = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(rss_gap)
+    code = "import json, rss_gap; print(json.dumps(rss_gap.probe()))"
     probes = []
     for k in range(1, rounds + 1):
         order = SIDES if k % 2 else SIDES[::-1]
         probe: dict = {"round": k, "first": order[0]}
         for side in order:
             print(f"rss probe {k} {side}", file=sys.stderr, flush=True)
-            env = {**os.environ, "PYTHONPATH": str(trees[side] / "src")}
-            probe[side] = rss_gap.probe(env, trees[side])
+            env = {**os.environ, "PYTHONPATH": os.pathsep.join((str(trees[side] / "src"), str(tools)))}
+            proc = subprocess.run([sys.executable, "-c", code], cwd=trees[side], env=env,
+                                  capture_output=True, text=True)
+            if proc.returncode != 0:
+                raise SystemExit(f"rss probe in {trees[side]} exited {proc.returncode}:\n{proc.stderr}")
+            probe[side] = json.loads(proc.stdout)
         probes.append(probe)
     return {
-        "command": "tools/rss_gap.py of CHANGE, with each tree's src on PYTHONPATH",
+        "command": "tools/rss_gap.py of CHANGE, in a fresh interpreter with each tree's src on PYTHONPATH",
         "bound_mib": rss_gap.BOUND_MIB,
         "rounds": probes,
         "summary": summarize_rss(probes, rss_gap.BOUND_MIB),

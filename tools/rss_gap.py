@@ -10,8 +10,10 @@ BOUND_MIB, or when either command fails.  The verify pool holds the
 32,268 AG classes of orders 1-5 as bare bytes, about 6.6 MiB above the
 enumeration; with an (order, table) pair per table it took about
 9.7 MiB, and a pool of Magma objects about 18 MiB.  The agkit that runs
-is the one the environment's PYTHONPATH finds.  Uses only the standard
-library.
+is the one the environment's PYTHONPATH finds.  Run it from a small
+process: Linux carries the peak RSS of the spawning process over to the
+child across exec, so a large caller would read its own peak for both.
+Uses only the standard library.
 """
 
 from __future__ import annotations
@@ -25,20 +27,19 @@ VERIFY = ("verify", "--max-order", "5", "--json")
 COUNT = ("enumerate", "--order", "5", "--count-only")
 
 
-def peak_mib(args: tuple[str, ...], env: dict | None = None, cwd=None) -> float:
+def peak_mib(args: tuple[str, ...]) -> float:
     """The peak RSS in MiB of python -m agkit args; exits on failure."""
-    proc = subprocess.Popen([sys.executable, "-m", "agkit", *args], stdout=subprocess.DEVNULL,
-                            env=env, cwd=cwd)
+    proc = subprocess.Popen([sys.executable, "-m", "agkit", *args], stdout=subprocess.DEVNULL)
     _, status, usage = os.wait4(proc.pid, 0)
     if os.waitstatus_to_exitcode(status) != 0:
         sys.exit(f"agkit {' '.join(args)} failed")
     return usage.ru_maxrss / 1024
 
 
-def probe(env: dict | None = None, cwd=None) -> dict[str, float]:
+def probe() -> dict[str, float]:
     """The peak RSS of each command, verify first, and the gap, in MiB."""
-    verify = peak_mib(VERIFY, env, cwd)
-    count = peak_mib(COUNT, env, cwd)
+    verify = peak_mib(VERIFY)
+    count = peak_mib(COUNT)
     return {"verify_mib": verify, "count_mib": count, "gap_mib": verify - count}
 
 
